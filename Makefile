@@ -63,11 +63,12 @@ bench-planner-smoke:
 		-require-metrics E23.speedup_vs_monolithic,E23.gap_worst_pct,E23.users_max,E23.sharded_wallclock_sec,E23.frontier_wallclock_sec
 
 # Frontier perf guard for CI: the CI-sized E24 frontier-table study (build
-# + plan timings with the frontier/optimizer parity cross-check), merged
+# + plan timings with the frontier/optimizer parity cross-check, and the
+# build cost per optimizer probe next to the core count), merged
 # into the same BENCH_planner.json, with its metric keys asserted present.
 bench-frontier-smoke:
 	$(GO) run ./cmd/experiments -run E24 -quick -bench-json BENCH_planner.json \
-		-require-metrics E24.speedup_vs_legacy,E24.frontier_wallclock_sec,E24.build_sec,E24.hit_rate_pct,E24.parity_ok
+		-require-metrics E24.speedup_vs_legacy,E24.frontier_wallclock_sec,E24.build_sec,E24.build_us_per_probe,E24.cores,E24.hit_rate_pct,E24.parity_ok
 
 # Replan-latency guard for CI: the CI-sized E26 delta-replan study (full
 # replan vs dirty-single-shard delta replan from the same previous plan),

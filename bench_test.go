@@ -181,6 +181,38 @@ func BenchmarkFrontierLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontierBuild measures one frontier-table construction on the
+// default grid for an e23-class key (ResNet18 on rpi4 against a T4 server
+// on a 100 Mbps uplink): the cost serve.New and every full replan pay per
+// surgery key. probes/op counts the optimizer solves construction spends.
+func BenchmarkFrontierBuild(b *testing.B) {
+	dev, err := hardware.ByName("rpi4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := hardware.ByName("edge-gpu-t4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := surgery.FrontierKey{
+		Model: dnn.ResNet18(), Device: dev, Server: srv,
+		UplinkBps: netmodel.Mbps(100), RTT: 0.004, Rate: 0.05,
+		Difficulty: workload.EasyBiased,
+	}
+	bo := surgery.BuildOptions{Surgery: surgery.Options{FixedPartition: surgery.FreePartition}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	probes := 0
+	for i := 0; i < b.N; i++ {
+		table, err := surgery.BuildFrontier(k, bo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes += table.Probes()
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+}
+
 // BenchmarkSurgeryEvaluate measures a single plan evaluation.
 func BenchmarkSurgeryEvaluate(b *testing.B) {
 	env := benchEnv(b)

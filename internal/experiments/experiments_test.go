@@ -231,7 +231,7 @@ func TestE24SmallShape(t *testing.T) {
 	if len(r.Tables[0].Rows) != 1 {
 		t.Errorf("rows = %d, want 1", len(r.Tables[0].Rows))
 	}
-	for _, k := range []string{"cores", "users_max", "build_sec", "legacy_wallclock_sec", "frontier_wallclock_sec", "speedup_vs_legacy", "hit_rate_pct", "parity_ok"} {
+	for _, k := range []string{"cores", "users_max", "build_sec", "build_us_per_probe", "legacy_wallclock_sec", "frontier_wallclock_sec", "speedup_vs_legacy", "hit_rate_pct", "parity_ok"} {
 		if _, ok := r.Metrics[k]; !ok {
 			t.Errorf("metric %q missing", k)
 		}

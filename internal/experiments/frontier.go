@@ -28,7 +28,7 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 		"users", "tables", "probes", "build(s)", "legacy(s)", "frontier(s)", "speedup", "hit(%)")
 
 	var usersMax int
-	var buildSecLargest, frontierSecLargest, legacySecLargest, speedupLargest, hitRateLargest float64
+	var buildSecLargest, buildUsPerProbeLargest, frontierSecLargest, legacySecLargest, speedupLargest, hitRateLargest float64
 	parityOK := 1.0
 	for _, n := range sizes {
 		sc := e23Scenario(n, nServers)
@@ -84,6 +84,7 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 		if n > usersMax {
 			usersMax = n
 			buildSecLargest, frontierSecLargest, legacySecLargest = buildSec, frontierSec, legacySec
+			buildUsPerProbeLargest = 1e6 * buildSec / float64(max(set.Probes(), 1))
 			speedupLargest, hitRateLargest = speedup, hitRate
 		}
 	}
@@ -91,6 +92,7 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 	r.metric("cores", float64(runtime.GOMAXPROCS(0)))
 	r.metric("users_max", float64(usersMax))
 	r.metric("build_sec", buildSecLargest)
+	r.metric("build_us_per_probe", buildUsPerProbeLargest)
 	r.metric("legacy_wallclock_sec", legacySecLargest)
 	r.metric("frontier_wallclock_sec", frontierSecLargest)
 	r.metric("speedup_vs_legacy", speedupLargest)

@@ -328,17 +328,24 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	if k.Model == nil || k.Device == nil {
 		return nil, fmt.Errorf("surgery: frontier key needs a model and a device")
 	}
+	env := k.env(1, 1)
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	kern, err := compile(k.Model, env, k.options(bo.Surgery))
+	if err != nil {
+		return nil, err
+	}
 	grid := bo.grid()
 	fb := &frontierBuilder{
 		key:       k,
-		opt:       k.options(bo.Surgery),
+		kern:      kern,
 		grid:      grid,
 		maxProbes: bo.MaxProbes,
-		sigs:      make(map[string]int32),
 	}
 	if k.Server == nil {
 		// Device-only: shares are irrelevant, a single probe is the table.
-		if _, err := fb.probeEnv(k.env(0, 0)); err != nil {
+		if _, err := fb.probeShares(0, 0); err != nil {
 			return nil, err
 		}
 		return &Frontier{key: k, grid: grid, entries: fb.entries, probes: fb.probes}, nil
@@ -349,7 +356,6 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 	for i := range fb.probeAt {
 		fb.probeAt[i] = -1
 	}
-	var err error
 	if k.MinAccuracy > 0 || k.MaxDeviceEnergyJ > 0 {
 		// Constrained keys: per-bandwidth-column subdivision (feasibility
 		// is constant within a column) with midpoint agreement as
@@ -369,26 +375,28 @@ func BuildFrontier(k FrontierKey, bo BuildOptions) (*Frontier, error) {
 }
 
 // frontierBuilder carries one BuildFrontier invocation's working state.
+// The compiled kernel, with its memo of every plan evaluation the probes
+// visit, lives only as long as the builder.
 type frontierBuilder struct {
 	key       FrontierKey
-	opt       Options
+	kern      *kernel
 	grid      ShareGrid
 	maxProbes int
 	cells     []int32
 	probeAt   []int32 // memoized probe result per grid point (-1 unknown)
 	entries   []FrontierEntry
-	sigs      map[string]int32 // plan signature → entry index
+	entryOf   []int32 // kernel memo entry → entry index (-1 none)
 	probes    int
 }
 
-// probe memoizes one optimizer call at grid point (fi, bi) and returns the
-// entry index of its plan.
+// probe memoizes one optimizer solve at grid point (fi, bi) and returns
+// the entry index of its plan.
 func (fb *frontierBuilder) probe(fi, bi int) (int32, error) {
 	idx := fi*fb.grid.Levels() + bi
 	if id := fb.probeAt[idx]; id >= 0 {
 		return id, nil
 	}
-	id, err := fb.probeEnv(fb.key.env(fb.grid.Value(fi), fb.grid.Value(bi)))
+	id, err := fb.probeShares(fb.grid.Value(fi), fb.grid.Value(bi))
 	if err != nil {
 		return -1, err
 	}
@@ -397,27 +405,33 @@ func (fb *frontierBuilder) probe(fi, bi int) (int32, error) {
 	return id, nil
 }
 
-func (fb *frontierBuilder) probeEnv(env Env) (int32, error) {
+// probeShares solves the key at one share pair — exactly what Optimize
+// computes there — and returns the entry index of the winning plan. A
+// kernel memo entry identifies a (partition, threshold, exit set), so it
+// doubles as the plan's identity for deduplication.
+func (fb *frontierBuilder) probeShares(f, b float64) (int32, error) {
 	if fb.maxProbes > 0 && fb.probes >= fb.maxProbes {
 		return -1, fmt.Errorf("surgery: frontier for %s exceeded %d probes", fb.key.Model.Name, fb.maxProbes)
 	}
 	fb.probes++
-	plan, ev, err := Optimize(fb.key.Model, env, fb.opt)
+	win, err := fb.kern.solve(f, b)
 	if err != nil {
 		return -1, err
 	}
-	sig := planSig(plan)
-	if id, ok := fb.sigs[sig]; ok {
+	for int(win) >= len(fb.entryOf) {
+		fb.entryOf = append(fb.entryOf, -1)
+	}
+	if id := fb.entryOf[win]; id >= 0 {
 		return id, nil
 	}
 	// All Eval fields except Latency are share-independent, so the first
 	// probe's evaluation stands for the plan at every grid point bit for
 	// bit; Latency is normalized to full shares here and re-derived per
 	// lookup.
-	ev.Latency = ev.LatencyAt(1, 1)
+	plan, ev := fb.kern.result(win, 1, 1)
 	id := int32(len(fb.entries))
 	fb.entries = append(fb.entries, FrontierEntry{Plan: plan, Eval: ev})
-	fb.sigs[sig] = id
+	fb.entryOf[win] = id
 	return id, nil
 }
 
@@ -546,8 +560,8 @@ func entryLess(a, b *FrontierEntry) bool {
 	return planSig(a.Plan) < planSig(b.Plan)
 }
 
-// planSig is a collision-free textual plan identity used to deduplicate
-// probe results.
+// planSig is a collision-free textual plan identity, the canonical order's
+// last tiebreak.
 func planSig(p Plan) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%x", p.Partition, math.Float64bits(p.Theta))
@@ -623,11 +637,17 @@ func (s *FrontierSet) Build(k FrontierKey) error {
 		return err
 	}
 	s.mu.Lock()
-	if _, ok := s.tables[k]; !ok {
-		s.tables[k] = t
-		s.probes += int64(t.probes)
+	defer s.mu.Unlock()
+	if _, ok := s.tables[k]; ok {
+		return nil
 	}
-	s.mu.Unlock()
+	// Re-check under the write lock: concurrent builds of distinct keys
+	// all passed the read-locked check above.
+	if n := len(s.tables); n >= s.bo.maxTables() {
+		return fmt.Errorf("surgery: frontier set at capacity (%d tables)", n)
+	}
+	s.tables[k] = t
+	s.probes += int64(t.probes)
 	return nil
 }
 

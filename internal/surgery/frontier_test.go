@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"edgesurgeon/internal/dnn"
@@ -315,6 +316,39 @@ func TestFrontierSetSemantics(t *testing.T) {
 	_, dev2, _ := only.Lookup(k3, 0.25, 0.5)
 	if !reflect.DeepEqual(dev1, dev2) {
 		t.Fatal("device-only tables must ignore shares")
+	}
+}
+
+// TestFrontierSetCapacityUnderConcurrency races builds of distinct keys
+// against a small table budget: the set must never exceed MaxTables, and
+// exactly MaxTables builds may succeed. Run under -race by make test-race.
+func TestFrontierSetCapacityUnderConcurrency(t *testing.T) {
+	const maxTables, builders = 2, 8
+	rng := rand.New(rand.NewSource(37))
+	keys := make([]FrontierKey, builders)
+	for i := range keys {
+		keys[i] = testFrontierKey(t, rng, false)
+		keys[i].RTT = float64(i+1) * 1e-3 // distinct even if the draws repeat
+	}
+	set := NewFrontierSet(BuildOptions{MaxTables: maxTables, Grid: NewShareGrid(1), Surgery: Options{FixedPartition: FreePartition}})
+	var wg sync.WaitGroup
+	errs := make([]error, builders)
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = set.Build(keys[i])
+		}(i)
+	}
+	wg.Wait()
+	built := 0
+	for _, err := range errs {
+		if err == nil {
+			built++
+		}
+	}
+	if set.Len() != maxTables || built != maxTables {
+		t.Fatalf("set holds %d tables after %d successful builds, want %d of each", set.Len(), built, maxTables)
 	}
 }
 

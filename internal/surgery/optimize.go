@@ -3,6 +3,7 @@ package surgery
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edgesurgeon/internal/dnn"
 	"edgesurgeon/internal/workload"
@@ -17,8 +18,9 @@ type Options struct {
 	// (0 disables the constraint).
 	MinAccuracy float64
 	// AccBuckets quantizes the accuracy dimension of the constrained DP;
-	// 0 means 200. Rounding is downward, so accepted plans genuinely
-	// satisfy MinAccuracy.
+	// values <= 0 mean 400, and values above MaxAccBuckets are rejected.
+	// Rounding is downward, so accepted plans genuinely satisfy
+	// MinAccuracy.
 	AccBuckets int
 	// MaxDeviceEnergyJ caps the expected device-side energy per task in
 	// joules (compute plus radio airtime at the environment's bandwidth
@@ -37,6 +39,15 @@ type Options struct {
 // FreePartition lets Optimize sweep all partition points.
 const FreePartition = -1
 
+// defaultAccBuckets is the constrained DP's resolution when
+// Options.AccBuckets is zero.
+const defaultAccBuckets = 400
+
+// MaxAccBuckets is the largest Options.AccBuckets Optimize accepts: the
+// constrained DP packs a bucket index into the low 16 bits of each
+// predecessor link.
+const MaxAccBuckets = 0xffff
+
 // defaultThetaGrid is allocated once; DefaultThetaGrid hands out the shared
 // slice so the optimizer's inner loops never re-allocate it.
 var defaultThetaGrid = []float64{0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8}
@@ -53,84 +64,23 @@ func DefaultThetaGrid() []float64 {
 // the given environment, subject to the accuracy floor. It sweeps partition
 // points and thresholds, and for each solves the exit-subset selection
 // exactly (up to accuracy quantization) as a resource-constrained shortest
-// path over the exit chain.
+// path over the exit chain. It is compile followed by one solve: frontier
+// construction runs the same kernel, compiled once per table and solved
+// at every probed share pair.
 func Optimize(m *dnn.Model, env Env, opt Options) (Plan, Eval, error) {
 	if err := env.Validate(); err != nil {
 		return Plan{}, Eval{}, err
 	}
-	n := m.NumUnits()
-
-	thetas := opt.ThetaGrid
-	if len(thetas) == 0 {
-		thetas = DefaultThetaGrid()
+	k, err := compile(m, env, opt)
+	if err != nil {
+		return Plan{}, Eval{}, err
 	}
-	if opt.NoExits {
-		thetas = thetas[:1] // theta is irrelevant without exits
+	best, err := k.solve(env.ComputeShare, env.BandwidthShare)
+	if err != nil {
+		return Plan{}, Eval{}, err
 	}
-
-	parts := partitionCandidates(m, env, opt)
-	if len(parts) == 0 {
-		return Plan{}, Eval{}, fmt.Errorf("surgery: no feasible partition for %s on %s (memory)", m.Name, env.Device.Name)
-	}
-
-	// Exit candidates strictly inside the backbone. ExitCandidates is
-	// cached on the model and ascending, so the interior candidates are a
-	// prefix — reuse it without allocating.
-	var cand []int
-	if !opt.NoExits {
-		cand = m.ExitCandidates()
-		for len(cand) > 0 && cand[len(cand)-1] >= n {
-			cand = cand[:len(cand)-1]
-		}
-	}
-
-	pre := newPrecomp(m, env, cand)
-
-	// best.Exits and bestEval.ExitProbs are copied into dedicated buffers
-	// on improvement; the per-(p, theta) slices returned by solveChain and
-	// evaluateInto alias reusable precomp storage.
-	best := Plan{}
-	bestEval := Eval{Latency: math.Inf(1)}
-	var bestExits []int
-	var bestProbs []float64
-	found := false
-	for _, p := range parts {
-		for _, theta := range thetas {
-			exits, ok := pre.solveChain(p, theta, opt)
-			if !ok {
-				continue
-			}
-			plan := Plan{Model: m, Exits: exits, Theta: theta, Partition: p}
-			ev := evaluateInto(plan, env, pre.probsBuf[:0])
-			pre.probsBuf = ev.ExitProbs[:0]
-			if opt.MinAccuracy > 0 && ev.Accuracy+1e-12 < opt.MinAccuracy {
-				continue
-			}
-			if env.Rate > 0 && env.Rate*ev.DeviceSec > DeviceStabilityRho {
-				continue // device queue would be unstable at this rate
-			}
-			if opt.MaxDeviceEnergyJ > 0 && ev.DeviceEnergyAt(env.Device, envShare(env.BandwidthShare)) > opt.MaxDeviceEnergyJ {
-				continue // plan would drain the device past its energy budget
-			}
-			if ev.Latency < bestEval.Latency {
-				bestExits = append(bestExits[:0], exits...)
-				bestProbs = append(bestProbs[:0], ev.ExitProbs...)
-				plan.Exits = bestExits
-				ev.ExitProbs = bestProbs
-				best, bestEval, found = plan, ev, true
-			}
-		}
-	}
-	if !found {
-		if opt.MaxDeviceEnergyJ > 0 {
-			return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", opt.MinAccuracy, opt.MaxDeviceEnergyJ, env.Rate, m.Name)
-		}
-		return Plan{}, Eval{}, fmt.Errorf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", opt.MinAccuracy, env.Rate, m.Name)
-	}
-	if len(best.Exits) == 0 {
-		best.Exits = nil // normalize: exitless plans carry nil, not empty
-	}
-	return best, bestEval, nil
+	plan, ev := k.result(best, env.ComputeShare, env.BandwidthShare)
+	return plan, ev, nil
 }
 
 // partitionCandidates returns the partition points consistent with device
@@ -168,180 +118,445 @@ func partitionCandidates(m *dnn.Model, env Env, opt Options) []int {
 	return out
 }
 
-// precomp caches per-model per-env quantities shared by all (p, theta)
-// subproblems, including reusable DP buffers so the sweep allocates only
-// on its first iteration.
-type precomp struct {
-	m    *dnn.Model
-	env  Env
-	cand []int // exit candidate cuts, ascending, < NumUnits
+// kernel is one surgery problem compiled for every share pair. Optimize's
+// result depends on the compute and bandwidth shares only through the
+// backbone edge times of the exit chain and through the final latency;
+// everything else — unit and head times, the confidence powers and
+// difficulty CDF of each threshold, the accuracy of each exit, and the
+// evaluation of every plan the sweep visits — is computed once per
+// kernel. A solve recomputes the edge times once per partition (they do
+// not depend on the threshold), reruns the chain shortest paths, and
+// re-derives each visited plan's Latency from its memoized evaluation
+// through Eval.LatencyAt. Every value comes from the same expressions in
+// the same operation order as a from-scratch evaluation, so results are
+// bit-identical at any shares.
+type kernel struct {
+	m      *dnn.Model
+	env    Env // shares are ignored: solve takes them explicitly
+	opt    Options
+	thetas []float64
+	parts  []int
+	cand   []int // exit candidate cuts, ascending, < NumUnits
 
+	devUnit   []float64 // device time of unit k+1
+	srvUnit   []float64 // server time (share=1) of unit k+1
 	devPrefix []float64 // device time of units 1..k
 	srvPrefix []float64 // server time (share=1) of units 1..k
 	headDev   []float64 // device time of candidate i's head
 	headSrv   []float64 // server time of candidate i's head
-	depth     []float64 // depth fraction of candidate i
-	acc       []float64 // accuracy at candidate i
+	// Per chain node (0 = source at cut 0, 1..K = candidates, K+1 =
+	// final): accAt is the accuracy of exiting there, and F holds the
+	// difficulty CDF at the node's confidence power, one row of K+2
+	// values per threshold. accFinal is the final exit's accuracy at its
+	// depth fraction, the operand evaluateValid uses.
+	accAt    []float64
+	F        []float64
+	accFinal float64
 
-	// Reusable buffers for solveChain and the evaluation loop.
-	tauBuf, fBuf, accBuf []float64
-	distBuf              []float64
-	prevBuf              []int
-	dpBuf, dpAccBuf      [][]float64
-	fromBuf              [][]int32
-	exitsBuf             []int
-	probsBuf             []float64
+	// Per-solve scratch: edge times of the current partition, row-major
+	// (K+2)×(K+2), and the shortest-path state.
+	T         []float64
+	dist      []float64
+	prev      []int
+	dp, dpAcc []float64 // (K+2)×(buckets+1), constrained DP only
+	from      []int32
+	buckets   int
+	chosen    []uint64 // exit bitmask (bit i = cand[i]) of the last solveChain
+
+	// Memo of the share-independent evaluation of every (partition,
+	// threshold, exit set) the sweep has visited. Entries of one
+	// (partition, threshold) slot form a chain from head[slot]; entry i's
+	// exit bitmask is masks[i*words : (i+1)*words].
+	head  []int32
+	memo  []memoEntry
+	masks []uint64
+	words int
 }
 
-func newPrecomp(m *dnn.Model, env Env, cand []int) *precomp {
+// memoEntry is one visited plan: its slot (partition index ×
+// len(thetas) + threshold index) and the share-independent Eval fields
+// the sweep reads. The rest of the evaluation is only needed for the
+// winner and is computed by result.
+type memoEntry struct {
+	slot int32
+	next int32 // next entry of the same slot, -1 ends the chain
+
+	accuracy, fixedSec, serverSec, txSec, deviceSec float64
+}
+
+// eval returns the entry's evaluation with the sweep's fields set.
+func (e *memoEntry) eval() Eval {
+	return Eval{Accuracy: e.accuracy, FixedSec: e.fixedSec, ServerSec: e.serverSec, TxSec: e.txSec, DeviceSec: e.deviceSec}
+}
+
+// compile derives everything about one surgery problem that does not
+// depend on the shares. env must already be valid.
+func compile(m *dnn.Model, env Env, opt Options) (*kernel, error) {
+	if opt.AccBuckets > MaxAccBuckets {
+		return nil, fmt.Errorf("surgery: AccBuckets %d exceeds the maximum %d", opt.AccBuckets, MaxAccBuckets)
+	}
 	n := m.NumUnits()
-	pc := &precomp{m: m, env: env, cand: cand}
-	pc.devPrefix = make([]float64, n+1)
-	pc.srvPrefix = make([]float64, n+1)
-	for i, u := range m.Units {
-		pc.devPrefix[i+1] = pc.devPrefix[i] + env.Device.UnitTime(u)
-		if env.Server != nil {
-			pc.srvPrefix[i+1] = pc.srvPrefix[i] + env.Server.UnitTime(u)
+
+	thetas := opt.ThetaGrid
+	if len(thetas) == 0 {
+		thetas = DefaultThetaGrid()
+	}
+	if opt.NoExits {
+		thetas = thetas[:1] // theta is irrelevant without exits
+	}
+
+	parts := partitionCandidates(m, env, opt)
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("surgery: no feasible partition for %s on %s (memory)", m.Name, env.Device.Name)
+	}
+
+	// Exit candidates strictly inside the backbone. ExitCandidates is
+	// cached on the model and ascending, so the interior candidates are a
+	// prefix — reuse it without allocating.
+	var cand []int
+	if !opt.NoExits {
+		cand = m.ExitCandidates()
+		for len(cand) > 0 && cand[len(cand)-1] >= n {
+			cand = cand[:len(cand)-1]
 		}
 	}
-	pc.headDev = make([]float64, len(cand))
-	pc.headSrv = make([]float64, len(cand))
-	pc.depth = make([]float64, len(cand))
-	pc.acc = make([]float64, len(cand))
+	K := len(cand)
+	N := K + 2
+
+	k := &kernel{m: m, env: env, opt: opt, thetas: thetas, parts: parts, cand: cand, words: (K + 63) / 64}
+	// One backing array for every float table the kernel keeps.
+	fl := make([]float64, 2*n+2*(n+1)+2*K+N+len(thetas)*N+N*N+N)
+	carve := func(size int) []float64 {
+		s := fl[:size:size]
+		fl = fl[size:]
+		return s
+	}
+	k.devUnit, k.srvUnit = carve(n), carve(n)
+	k.devPrefix, k.srvPrefix = carve(n+1), carve(n+1)
+	k.headDev, k.headSrv = carve(K), carve(K)
+	k.accAt, k.F = carve(N), carve(len(thetas)*N)
+	k.T, k.dist = carve(N*N), carve(N)
+	k.prev = make([]int, N)
+
+	for i, u := range m.Units {
+		k.devUnit[i] = env.Device.UnitTime(u)
+		k.devPrefix[i+1] = k.devPrefix[i] + k.devUnit[i]
+		if env.Server != nil {
+			k.srvUnit[i] = env.Server.UnitTime(u)
+			k.srvPrefix[i+1] = k.srvPrefix[i] + k.srvUnit[i]
+		}
+	}
 	curves := env.curves()
 	for i, c := range cand {
 		hf, _ := HeadCost(m, c)
-		pc.headDev[i] = env.Device.FLOPsTime(hf)
+		k.headDev[i] = env.Device.FLOPsTime(hf)
 		if env.Server != nil {
-			pc.headSrv[i] = env.Server.FLOPsTime(hf)
+			k.headSrv[i] = env.Server.FLOPsTime(hf)
 		}
-		pc.depth[i] = DepthFrac(m, c)
-		pc.acc[i] = curves.Accuracy(pc.depth[i])
+		k.accAt[i+1] = curves.Accuracy(DepthFrac(m, c))
 	}
-	return pc
+	k.accAt[K+1] = curves.Accuracy(1)
+	k.accFinal = curves.Accuracy(DepthFrac(m, n))
+	for ti, theta := range thetas {
+		row := k.F[ti*N : (ti+1)*N]
+		for i := range row {
+			tau := 1.0
+			switch {
+			case i == 0:
+				tau = 0
+			case i <= K:
+				tau = curves.Confidence(DepthFrac(m, cand[i-1]), theta)
+			}
+			row[i] = workload.DifficultyCDF(env.Difficulty, tau)
+		}
+	}
+
+	if opt.MinAccuracy > 0 {
+		k.buckets = opt.AccBuckets
+		if k.buckets <= 0 {
+			k.buckets = defaultAccBuckets
+		}
+		B := k.buckets + 1
+		dp := make([]float64, 2*N*B)
+		k.dp, k.dpAcc = dp[:N*B:N*B], dp[N*B:]
+		k.from = make([]int32, N*B)
+	}
+
+	slots := len(parts) * len(thetas)
+	k.head = make([]int32, slots)
+	for i := range k.head {
+		k.head[i] = -1
+	}
+	k.memo = make([]memoEntry, 0, slots)
+	if k.words > 0 {
+		k.chosen = make([]uint64, k.words)
+		k.masks = make([]uint64, 0, slots*k.words)
+	}
+	return k, nil
+}
+
+// solve runs the sweep at the given shares and returns the memo entry of
+// the winning plan. Ties keep the first winner in (partition, threshold)
+// order.
+func (k *kernel) solve(computeShare, bandwidthShare float64) (int32, error) {
+	f, b := envShare(computeShare), envShare(bandwidthShare)
+	best := int32(-1)
+	bestLat := math.Inf(1)
+	for pi, p := range k.parts {
+		k.edgeTimes(p, f, b)
+		for ti := range k.thetas {
+			if !k.solveChain(ti) {
+				continue
+			}
+			id := k.visit(int32(pi*len(k.thetas) + ti))
+			ev := k.memo[id].eval()
+			if !k.feasible(&ev, b) {
+				continue
+			}
+			if lat := ev.LatencyAt(f, b); lat < bestLat {
+				best, bestLat = id, lat
+			}
+		}
+	}
+	if best < 0 {
+		if k.opt.MaxDeviceEnergyJ > 0 {
+			return -1, fmt.Errorf("surgery: no plan meets accuracy %.3f within device energy budget %.3g J (rate %.3g/s) for %s", k.opt.MinAccuracy, k.opt.MaxDeviceEnergyJ, k.env.Rate, k.m.Name)
+		}
+		return -1, fmt.Errorf("surgery: no plan meets accuracy %.3f (rate %.3g/s) for %s", k.opt.MinAccuracy, k.env.Rate, k.m.Name)
+	}
+	return best, nil
+}
+
+// feasible applies the plan filters: the accuracy floor, device-queue
+// stability at the user's rate, and the device energy budget at
+// bandwidth share b.
+func (k *kernel) feasible(ev *Eval, b float64) bool {
+	if k.opt.MinAccuracy > 0 && ev.Accuracy+1e-12 < k.opt.MinAccuracy {
+		return false
+	}
+	if k.env.Rate > 0 && k.env.Rate*ev.DeviceSec > DeviceStabilityRho {
+		return false // device queue would be unstable at this rate
+	}
+	if k.opt.MaxDeviceEnergyJ > 0 && ev.DeviceEnergyAt(k.env.Device, b) > k.opt.MaxDeviceEnergyJ {
+		return false // plan would drain the device past its energy budget
+	}
+	return true
+}
+
+// visit returns the memo entry of the plan in slot with the exit set of
+// the last solveChain, evaluating and recording it on first sight.
+func (k *kernel) visit(slot int32) int32 {
+	w := k.words
+	for id := k.head[slot]; id >= 0; id = k.memo[id].next {
+		if slices.Equal(k.masks[int(id)*w:int(id)*w+w], k.chosen) {
+			return id
+		}
+	}
+	e := k.evaluate(slot, k.chosen)
+	e.slot, e.next = slot, k.head[slot]
+	id := int32(len(k.memo))
+	k.memo = append(k.memo, e)
+	k.masks = append(k.masks, k.chosen...)
+	k.head[slot] = id
+	return id
+}
+
+// evaluate computes the memoized Eval fields of the plan in slot with exit
+// bitmask mask. It is evaluateValid over the kernel's tables: unit times
+// summed left to right exactly as RangeTime sums them, the same head
+// times, and the same CDF and accuracy values, combined by the same
+// expressions in the same order — so every field is bit-identical to
+// evaluateValid's (TestKernelEvaluateMatchesEvaluateValid).
+func (k *kernel) evaluate(slot int32, mask []uint64) memoEntry {
+	nt := int32(len(k.thetas))
+	p := k.parts[slot/nt]
+	K := len(k.cand)
+	N := K + 2
+	F := k.F[int(slot%nt)*N : int(slot%nt+1)*N]
+	n := k.m.NumUnits()
+	sum := func(units []float64) float64 {
+		var t float64
+		for _, u := range units {
+			t += u
+		}
+		return t
+	}
+
+	var e memoEntry
+	prevCut, prevNode := 0, 0
+	var cumDev, cumSrv, cumTx, cumRTT float64 // path accumulators up to current exit
+	for node := 1; node < N; node++ {
+		if node <= K && !hasExit(mask, node-1) {
+			continue
+		}
+		cut := k.cut(node)
+		// Backbone segment (prevCut, cut].
+		devEnd := min(cut, p)
+		if devEnd > prevCut {
+			cumDev += sum(k.devUnit[prevCut:devEnd])
+		}
+		srvStart := max(prevCut, p)
+		if cut > srvStart {
+			cumSrv += sum(k.srvUnit[srvStart:cut])
+		}
+		if prevCut <= p && p < cut {
+			bits := float64(k.m.CutBytes(p)) * 8 * k.env.txFactor()
+			cumTx += bits / k.env.UplinkBps
+			cumRTT += k.env.RTT
+		}
+		acc := k.accFinal
+		if cut < n {
+			if cut <= p {
+				cumDev += k.headDev[node-1]
+			} else {
+				cumSrv += k.headSrv[node-1]
+			}
+			acc = k.accAt[node]
+		}
+		pe := F[node] - F[prevNode]
+		if pe < 0 {
+			pe = 0
+		}
+		e.deviceSec += pe * cumDev
+		e.serverSec += pe * cumSrv
+		e.txSec += pe * cumTx
+		e.fixedSec += pe * cumRTT
+		e.accuracy += pe * acc
+		prevCut, prevNode = cut, node
+	}
+	e.fixedSec += e.deviceSec
+	return e
+}
+
+// planAt assembles the plan of a slot and exit bitmask.
+func (k *kernel) planAt(slot int32, mask []uint64) Plan {
+	var exits []int
+	for i, c := range k.cand {
+		if hasExit(mask, i) {
+			exits = append(exits, c)
+		}
+	}
+	nt := int32(len(k.thetas))
+	return Plan{Model: k.m, Exits: exits, Theta: k.thetas[slot%nt], Partition: k.parts[slot/nt]}
+}
+
+// hasExit reports whether exit bitmask mask selects candidate i.
+func hasExit(mask []uint64, i int) bool {
+	return mask[i/64]&(1<<(i%64)) != 0
+}
+
+// addExit selects candidate i in exit bitmask mask.
+func addExit(mask []uint64, i int) {
+	mask[i/64] |= 1 << (i % 64)
+}
+
+// result materializes memo entry id as a plan and evaluation owning their
+// slices, with Latency at the given shares.
+func (k *kernel) result(id int32, computeShare, bandwidthShare float64) (Plan, Eval) {
+	w := int(id) * k.words
+	plan := k.planAt(k.memo[id].slot, k.masks[w:w+k.words])
+	ev := evaluateValid(plan, k.env)
+	ev.Latency = ev.LatencyAt(envShare(computeShare), envShare(bandwidthShare))
+	return plan, ev
+}
+
+// cut maps a chain node to its backbone cut.
+func (k *kernel) cut(i int) int {
+	switch {
+	case i == 0:
+		return 0
+	case i <= len(k.cand):
+		return k.cand[i-1]
+	default:
+		return k.m.NumUnits()
+	}
+}
+
+// edgeTimes fills T with every chain edge's latency under partition p at
+// shares (f, b): the backbone segment between the two nodes' cuts plus the
+// target exit's head. None of it depends on the threshold, so one fill
+// serves the whole theta sweep.
+func (k *kernel) edgeTimes(p int, f, b float64) {
+	K := len(k.cand)
+	N := K + 2
+	for j := 1; j < N; j++ {
+		for i := 0; i < j; i++ {
+			t := k.segTime(k.cut(i), k.cut(j), p, f, b)
+			if j <= K {
+				t += k.headTime(j-1, p, f)
+			}
+			k.T[i*N+j] = t
+		}
+	}
 }
 
 // segTime returns the latency contribution of the backbone segment
 // (fromCut, toCut] plus the transfer if the segment crosses partition p,
-// at the environment's shares.
-func (pc *precomp) segTime(fromCut, toCut, p int) float64 {
-	f := envShare(pc.env.ComputeShare)
-	b := envShare(pc.env.BandwidthShare)
+// at shares (f, b).
+func (k *kernel) segTime(fromCut, toCut, p int, f, b float64) float64 {
 	t := 0.0
 	devEnd := min(toCut, p)
 	if devEnd > fromCut {
-		t += pc.devPrefix[devEnd] - pc.devPrefix[fromCut]
+		t += k.devPrefix[devEnd] - k.devPrefix[fromCut]
 	}
 	srvStart := max(fromCut, p)
 	if toCut > srvStart {
-		t += (pc.srvPrefix[toCut] - pc.srvPrefix[srvStart]) / f
+		t += (k.srvPrefix[toCut] - k.srvPrefix[srvStart]) / f
 	}
 	if fromCut <= p && p < toCut {
-		bits := float64(pc.m.CutBytes(p)) * 8 * pc.env.txFactor()
-		t += bits/(pc.env.UplinkBps*b) + pc.env.RTT
+		bits := float64(k.m.CutBytes(p)) * 8 * k.env.txFactor()
+		t += bits/(k.env.UplinkBps*b) + k.env.RTT
 	}
 	return t
 }
 
 // headTime returns the latency of candidate i's head under partition p at
-// the environment's shares.
-func (pc *precomp) headTime(i, p int) float64 {
-	if pc.cand[i] <= p {
-		return pc.headDev[i]
+// compute share f.
+func (k *kernel) headTime(i, p int, f float64) float64 {
+	if k.cand[i] <= p {
+		return k.headDev[i]
 	}
-	return pc.headSrv[i] / envShare(pc.env.ComputeShare)
+	return k.headSrv[i] / f
 }
 
-// solveChain finds the optimal exit subset for fixed partition p and
-// threshold theta. Nodes are (virtual source, candidates..., final); the
-// expected latency decomposes over consecutive selected exits as
-// (1 - F(tau_i)) * T_seg(i, j), so subset selection is a shortest path,
-// with a quantized-accuracy dimension when MinAccuracy binds.
-func (pc *precomp) solveChain(p int, theta float64, opt Options) ([]int, bool) {
-	env := pc.env
-	curves := env.curves()
-	n := pc.m.NumUnits()
-	K := len(pc.cand)
+// solveChain finds the optimal exit subset for the current partition's
+// edge times and threshold index ti, leaving it in k.chosen. Nodes are
+// (virtual source, candidates..., final); the expected latency decomposes
+// over consecutive selected exits as (1 - F(tau_i)) * T_seg(i, j), so
+// subset selection is a shortest path, with a quantized-accuracy
+// dimension when MinAccuracy binds.
+func (k *kernel) solveChain(ti int) bool {
+	K := len(k.cand)
+	N := K + 2
+	F := k.F[ti*N : (ti+1)*N]
+	T := k.T
+	clear(k.chosen)
+	const inf = math.MaxFloat64
 
-	// Node indexing: 0 = source (cut 0), 1..K = candidates, K+1 = final.
-	cut := func(i int) int {
-		switch {
-		case i == 0:
-			return 0
-		case i <= K:
-			return pc.cand[i-1]
-		default:
-			return n
-		}
-	}
-	if pc.tauBuf == nil {
-		pc.tauBuf = make([]float64, K+2)
-		pc.fBuf = make([]float64, K+2)
-		pc.accBuf = make([]float64, K+2)
-	}
-	tau := pc.tauBuf
-	F := pc.fBuf
-	accAt := pc.accBuf
-	for i := 0; i <= K+1; i++ {
-		switch {
-		case i == 0:
-			tau[i] = 0
-		case i <= K:
-			tau[i] = curves.Confidence(pc.depth[i-1], theta)
-		default:
-			tau[i] = 1
-		}
-		F[i] = workload.DifficultyCDF(env.Difficulty, tau[i])
-		if i == K+1 {
-			accAt[i] = curves.Accuracy(1)
-		} else if i > 0 {
-			accAt[i] = pc.acc[i-1]
-		}
-	}
-	latEdge := func(i, j int) float64 {
-		t := pc.segTime(cut(i), cut(j), p)
-		if j <= K {
-			t += pc.headTime(j-1, p)
-		}
-		return (1 - F[i]) * t
-	}
-	accEdge := func(i, j int) float64 {
-		d := F[j] - F[i]
-		if d < 0 {
-			d = 0
-		}
-		return d * accAt[j]
-	}
-
-	if opt.MinAccuracy <= 0 {
+	if k.opt.MinAccuracy <= 0 {
 		// Pure shortest path over the DAG.
-		const inf = math.MaxFloat64
-		if pc.distBuf == nil {
-			pc.distBuf = make([]float64, K+2)
-			pc.prevBuf = make([]int, K+2)
-		}
-		dist := pc.distBuf
-		prev := pc.prevBuf
+		dist, prev := k.dist, k.prev
 		dist[0] = 0
 		prev[0] = -1
-		for i := 1; i <= K+1; i++ {
+		for i := 1; i < N; i++ {
 			dist[i] = inf
 			prev[i] = -1
 		}
-		for j := 1; j <= K+1; j++ {
+		for j := 1; j < N; j++ {
 			for i := 0; i < j; i++ {
 				if dist[i] == inf {
 					continue
 				}
-				if d := dist[i] + latEdge(i, j); d < dist[j] {
+				if d := dist[i] + (1-F[i])*T[i*N+j]; d < dist[j] {
 					dist[j] = d
 					prev[j] = i
 				}
 			}
 		}
-		exits := chainToExits(prev, K, cut, pc.exitsBuf[:0])
-		pc.exitsBuf = exits
-		return exits, true
+		for node := prev[K+1]; node > 0; node = prev[node] {
+			addExit(k.chosen, node-1)
+		}
+		return true
 	}
 
 	// Resource-constrained shortest path with a quantized accuracy index.
@@ -350,104 +565,65 @@ func (pc *precomp) solveChain(p int, theta float64, opt Options) ([]int, bool) {
 	// error does not accumulate along paths. Ties within a bucket keep the
 	// lower-latency path (a bounded-error dominance rule; the caller
 	// re-verifies the final plan exactly).
-	buckets := opt.AccBuckets
-	if buckets <= 0 {
-		buckets = 400
-	}
-	delta := curves.Final / float64(buckets)
-	const inf = math.MaxFloat64
-	if pc.dpBuf == nil || len(pc.dpBuf[0]) != buckets+1 {
-		pc.dpBuf = make([][]float64, K+2)
-		pc.dpAccBuf = make([][]float64, K+2)
-		pc.fromBuf = make([][]int32, K+2)
-		for i := 0; i <= K+1; i++ {
-			pc.dpBuf[i] = make([]float64, buckets+1)
-			pc.dpAccBuf[i] = make([]float64, buckets+1)
-			pc.fromBuf[i] = make([]int32, buckets+1)
-		}
-	}
-	dp := pc.dpBuf     // min latency
-	acc := pc.dpAccBuf // exact accuracy of the stored path
-	from := pc.fromBuf // packed predecessor (node, bucket)
+	buckets := k.buckets
+	B := buckets + 1
+	delta := k.env.curves().Final / float64(buckets)
+	dp, acc, from := k.dp, k.dpAcc, k.from // min latency, exact accuracy of the stored path, packed predecessor (node, bucket)
 	for i := range dp {
-		for q := range dp[i] {
-			dp[i][q] = inf
-			acc[i][q] = 0
-			from[i][q] = -1
-		}
+		dp[i] = inf
+		acc[i] = 0
+		from[i] = -1
 	}
-	dp[0][0] = 0
-	for j := 1; j <= K+1; j++ {
+	dp[0] = 0
+	for j := 1; j < N; j++ {
+		dpj, accj, fromj := dp[j*B:(j+1)*B], acc[j*B:(j+1)*B], from[j*B:(j+1)*B]
 		for i := 0; i < j; i++ {
-			le := latEdge(i, j)
-			ae := accEdge(i, j)
+			le := (1 - F[i]) * T[i*N+j]
+			ae := F[j] - F[i]
+			if ae < 0 {
+				ae = 0
+			}
+			ae *= k.accAt[j]
+			dpi, acci := dp[i*B:(i+1)*B], acc[i*B:(i+1)*B]
 			for q := 0; q <= buckets; q++ {
-				if dp[i][q] == inf {
+				if dpi[q] == inf {
 					continue
 				}
-				na := acc[i][q] + ae
+				na := acci[q] + ae
 				nq := int(na / delta)
 				if nq > buckets {
 					nq = buckets
 				}
-				d := dp[i][q] + le
-				if d < dp[j][nq] || (d == dp[j][nq] && na > acc[j][nq]) {
-					dp[j][nq] = d
-					acc[j][nq] = na
-					from[j][nq] = int32(i)<<16 | int32(q)
+				d := dpi[q] + le
+				if d < dpj[nq] || (d == dpj[nq] && na > accj[nq]) {
+					dpj[nq] = d
+					accj[nq] = na
+					fromj[nq] = int32(i)<<16 | int32(q)
 				}
 			}
 		}
 	}
 	bestQ, bestD := -1, inf
+	last, lastAcc := dp[(K+1)*B:], acc[(K+1)*B:]
 	for q := 0; q <= buckets; q++ {
-		if dp[K+1][q] < inf && acc[K+1][q]+1e-12 >= opt.MinAccuracy && dp[K+1][q] < bestD {
-			bestD = dp[K+1][q]
+		if last[q] < inf && lastAcc[q]+1e-12 >= k.opt.MinAccuracy && last[q] < bestD {
+			bestD = last[q]
 			bestQ = q
 		}
 	}
 	if bestQ < 0 {
-		return nil, false
+		return false
 	}
-	// Reconstruct into the reusable exits buffer.
-	exits := pc.exitsBuf[:0]
-	node, q := K+1, bestQ
-	for node != 0 {
-		f := from[node][q]
+	for node, q := K+1, bestQ; node != 0; {
+		f := from[node*B+q]
 		if f < 0 {
-			return nil, false
+			return false
 		}
 		pnode, pq := int(f>>16), int(f&0xffff)
 		if pnode != 0 {
-			exits = append(exits, cut(pnode))
+			addExit(k.chosen, pnode-1)
 		}
 		node, q = pnode, pq
 	}
-	reverseInts(exits)
-	pc.exitsBuf = exits
-	return exits, true
-}
-
-// chainToExits walks predecessor links from the final node back to the
-// source and appends the selected interior exit cuts, ascending, into buf.
-func chainToExits(prev []int, K int, cut func(int) int, buf []int) []int {
-	exits := buf
-	for node := K + 1; node != 0; {
-		p := prev[node]
-		if p > 0 {
-			exits = append(exits, cut(p))
-		}
-		if p < 0 {
-			break
-		}
-		node = p
-	}
-	reverseInts(exits)
-	return exits
-}
-
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return true
 }

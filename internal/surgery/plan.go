@@ -223,24 +223,19 @@ func Evaluate(p Plan, env Env) (Eval, error) {
 	if env.Server == nil && p.Partition != p.Model.NumUnits() {
 		return Eval{}, fmt.Errorf("surgery: plan %v offloads but env has no server", p)
 	}
-	return evaluateInto(p, env, nil), nil
+	return evaluateValid(p, env), nil
 }
 
-// evaluateInto is Evaluate's allocation-lean core: the plan and environment
-// must already be known valid, and ExitProbs is appended into probsBuf
-// (pass a reusable buffer's [:0] slice to amortize the allocation across a
-// sweep, or nil for a fresh slice).
-func evaluateInto(p Plan, env Env, probsBuf []float64) Eval {
+// evaluateValid is Evaluate's core: the plan and environment must already
+// be known valid.
+func evaluateValid(p Plan, env Env) Eval {
 	m := p.Model
 	n := m.NumUnits()
 	curves := env.curves()
 
 	var ev Eval
 	nCuts := len(p.Exits) + 1 // interior exits plus the implicit final exit
-	ev.ExitProbs = probsBuf
-	for i := 0; i < nCuts; i++ {
-		ev.ExitProbs = append(ev.ExitProbs, 0)
-	}
+	ev.ExitProbs = make([]float64, nCuts)
 
 	prevCut := 0
 	prevTau := 0.0

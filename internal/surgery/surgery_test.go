@@ -401,3 +401,98 @@ func TestPlanString(t *testing.T) {
 		t.Error("empty plan string")
 	}
 }
+
+// TestOptimizeAllocCeiling holds one-shot Optimize — the path the planner
+// and the online dispatcher call per user — at its historical allocation
+// count: compiling the kernel for a single solve must not cost more
+// allocations than the from-scratch sweep it replaced.
+func TestOptimizeAllocCeiling(t *testing.T) {
+	env := testEnv(t, 25)
+	env.ComputeShare, env.BandwidthShare = 0.5, 0.5
+	env.Difficulty = workload.EasyBiased
+	m := dnn.ResNet34()
+	opt := Options{FixedPartition: FreePartition}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := Optimize(m, env, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("Optimize made %.0f allocations, want <= 32", allocs)
+	}
+}
+
+// TestOptimizeRejectsOversizedAccBuckets checks the constrained DP's
+// packing bound: a bucket index must fit the 16 bits its predecessor link
+// reserves for it, so larger AccBuckets fail loudly instead of corrupting
+// the reconstructed exits, and the bound itself still solves.
+func TestOptimizeRejectsOversizedAccBuckets(t *testing.T) {
+	env := testEnv(t, 25)
+	m := dnn.AlexNet()
+	opt := Options{FixedPartition: FreePartition, MinAccuracy: 0.6, AccBuckets: MaxAccBuckets + 1}
+	if _, _, err := Optimize(m, env, opt); err == nil {
+		t.Fatalf("AccBuckets %d accepted", opt.AccBuckets)
+	}
+	opt.AccBuckets = MaxAccBuckets
+	plan, ev, err := Optimize(m, env, opt)
+	if err != nil {
+		t.Fatalf("AccBuckets %d rejected: %v", opt.AccBuckets, err)
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Accuracy+1e-12 < opt.MinAccuracy {
+		t.Fatalf("accuracy %g below floor %g", ev.Accuracy, opt.MinAccuracy)
+	}
+}
+
+// TestKernelEvaluateMatchesEvaluateValid pins the kernel's table-driven
+// evaluation to evaluateValid bit for bit, for every slot of seeded keys —
+// constrained, exitless and device-only ones included — under random and
+// extreme exit sets, not only the ones a sweep happens to visit.
+func TestKernelEvaluateMatchesEvaluateValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 12; trial++ {
+		key := testFrontierKey(t, rng, trial%3 == 2)
+		switch trial % 4 {
+		case 1:
+			key.NoExits = true
+		case 3:
+			key.Server, key.UplinkBps, key.RTT = nil, 0, 0
+		}
+		env := key.env(1, 1)
+		k, err := compile(key.Model, env, key.options(Options{}))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		mask := make([]uint64, k.words)
+		for slot := int32(0); slot < int32(len(k.head)); slot++ {
+			for draw := 0; draw < 6; draw++ {
+				clear(mask)
+				for i := range k.cand {
+					if draw == 1 || (draw > 1 && rng.Intn(2) == 0) {
+						addExit(mask, i)
+					}
+				}
+				e := k.evaluate(slot, mask)
+				got := e.eval()
+				want := evaluateValid(k.planAt(slot, mask), env)
+				for _, f := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"Accuracy", got.Accuracy, want.Accuracy},
+					{"FixedSec", got.FixedSec, want.FixedSec},
+					{"ServerSec", got.ServerSec, want.ServerSec},
+					{"TxSec", got.TxSec, want.TxSec},
+					{"DeviceSec", got.DeviceSec, want.DeviceSec},
+				} {
+					if math.Float64bits(f.got) != math.Float64bits(f.want) {
+						t.Fatalf("trial %d slot %d plan %v: %s = %v, evaluateValid gives %v",
+							trial, slot, k.planAt(slot, mask), f.name, f.got, f.want)
+					}
+				}
+			}
+		}
+	}
+}
