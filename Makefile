@@ -72,11 +72,11 @@ bench-frontier-smoke:
 
 # Replan-latency guard for CI: the CI-sized E26 delta-replan study (full
 # replan vs dirty-single-shard delta replan from the same previous plan),
-# merged into the same BENCH_planner.json, with its metric keys asserted
-# present.
+# merged into the same BENCH_planner.json, with its metric keys — the core
+# count the timings were taken on among them — asserted present.
 bench-replan-smoke:
 	$(GO) run ./cmd/experiments -run E26 -quick -bench-json BENCH_planner.json \
-		-require-metrics E26.replan_speedup,E26.delta_gap_pct,E26.full_replan_sec,E26.delta_replan_sec,E26.users_max
+		-require-metrics E26.replan_speedup,E26.delta_gap_pct,E26.full_replan_sec,E26.delta_replan_sec,E26.users_max,E26.cores
 
 # Control-plane smoke for CI: replay the bundled drifting + faulty trace
 # through cmd/edgeserved and pin the hysteresis policy's full-replan count

@@ -324,6 +324,36 @@ func BenchmarkJointPlanParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkJointPlanShardedFrontier measures a full hierarchical replan at
+// control-plane scale: 2000 users × 8 servers of the E23 population,
+// sharded at 256 users, answered from frontier tables built before the
+// timer. Its reconciliation scans run the budget regime, so the sweep over
+// workers shows what evaluating candidate moves concurrently buys; plans are
+// byte-identical at every level.
+func BenchmarkJointPlanShardedFrontier(b *testing.B) {
+	sc := experiments.E23Scenario(2000, 8)
+	set, err := joint.BuildFrontierSet(sc, joint.Options{}, surgery.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 0} {
+		name := fmt.Sprintf("workers=%d", workers)
+		if workers == 0 {
+			name = "workers=default"
+		}
+		b.Run(name, func(b *testing.B) {
+			planner := &joint.Planner{Opt: joint.Options{Parallelism: workers, ShardThreshold: 256, Frontiers: set}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := planner.Plan(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkJointPlanUncached isolates what the surgery memoization saves:
 // the same 32-user scenario as BenchmarkJointPlanParallel with the cache
 // ablated at one worker.

@@ -17,7 +17,6 @@ package alloc
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -138,20 +137,24 @@ func Proportional(demands []Demand) Allocation {
 // users with vanishing work.
 const minShareEps = 1e-9
 
-// sqrtSplit distributes budget over users proportionally to
+// sqrtSplit distributes budget over users proportionally to coef[i] =
 // sqrt(weight*work), respecting per-user lower bounds via iterative
-// clamping (exact KKT water-filling; terminates in <= n rounds).
-func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
-	n := len(work)
-	out := make([]float64, n)
-	clamped := make([]bool, n)
+// clamping (exact KKT water-filling; terminates in <= n rounds). The caller
+// computes the coefficients once (sqrtCoefs), so no pass repeats the square
+// roots. out and clamped are caller-owned buffers of len(coef); out is
+// returned.
+func sqrtSplit(coef, lower []float64, budget float64, out []float64, clamped []bool) []float64 {
+	n := len(coef)
+	for i := range clamped {
+		clamped[i] = false
+	}
 	for {
 		var coefSum, lockedBudget float64
 		for i := 0; i < n; i++ {
 			if clamped[i] {
 				lockedBudget += lower[i]
 			} else {
-				coefSum += math.Sqrt(weight[i] * work[i])
+				coefSum += coef[i]
 			}
 		}
 		free := budget - lockedBudget
@@ -166,7 +169,7 @@ func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
 			}
 			var s float64
 			if coefSum > 0 {
-				s = free * math.Sqrt(weight[i]*work[i]) / coefSum
+				s = free * coef[i] / coefSum
 			}
 			if s < lower[i] {
 				clamped[i] = true
@@ -179,6 +182,16 @@ func sqrtSplit(work, weight, lower []float64, budget float64) []float64 {
 		if !changed {
 			return out
 		}
+	}
+}
+
+// sqrtCoefs fills sqrt(weight*work) per user for both resources — the
+// water-filling coefficients of sqrtSplit.
+func sqrtCoefs(demands []Demand, coefC, coefB []float64) {
+	for i, d := range demands {
+		wt := d.weight()
+		coefC[i] = math.Sqrt(wt * d.Server)
+		coefB[i] = math.Sqrt(wt * d.Tx)
 	}
 }
 
@@ -202,17 +215,17 @@ func MinSumLatency(demands []Demand) Allocation {
 		}
 		return a
 	}
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
+	coefC := make([]float64, n)
+	coefB := make([]float64, n)
 	lo := make([]float64, n)
-	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
+	clamped := make([]bool, n)
+	sqrtCoefs(demands, coefC, coefB)
+	for i := range lo {
 		lo[i] = minShareEps
 	}
 	return Allocation{
-		Compute:   sqrtSplit(v, wt, lo, 1),
-		Bandwidth: sqrtSplit(w, wt, lo, 1),
+		Compute:   sqrtSplit(coefC, lo, 1, make([]float64, n), clamped),
+		Bandwidth: sqrtSplit(coefB, lo, 1, make([]float64, n), clamped),
 		Feasible:  true,
 	}
 }
@@ -229,7 +242,9 @@ var ErrInfeasible = errors.New("alloc: constraints exceed capacity")
 // minShares computes the per-user lower bounds (fmin, bmin) implied by the
 // deadline and the stability constraint. The deadline slack is split
 // between compute and transfer in the ratio sqrt(Server):sqrt(Tx), which
-// minimizes fmin+bmin.
+// minimizes fmin+bmin. An individually unmeetable deadline returns the bare
+// ErrInfeasible sentinel: every caller only tests for it, and
+// MinMaxLatency's bisection hits it on each infeasible probe.
 func minShares(d Demand) (fmin, bmin float64, err error) {
 	fmin, bmin = minShareEps, minShareEps
 	if d.Rate > 0 {
@@ -244,7 +259,7 @@ func minShares(d Demand) (fmin, bmin float64, err error) {
 		slack := d.Deadline - d.Fixed
 		if slack <= 0 {
 			if d.Server > 0 || d.Tx > 0 {
-				return 0, 0, fmt.Errorf("%w: fixed latency %.4gs exceeds deadline %.4gs", ErrInfeasible, d.Fixed, d.Deadline)
+				return 0, 0, ErrInfeasible
 			}
 			return fmin, bmin, nil // deadline met by device alone or not at all
 		}
@@ -272,7 +287,37 @@ func minShares(d Demand) (fmin, bmin float64, err error) {
 // jointly infeasible it returns a proportional scaling of the bounds with
 // Feasible == false so callers can trigger reassignment.
 func DeadlineAware(demands []Demand) Allocation {
+	var ws Workspace
+	return ws.DeadlineAware(demands)
+}
+
+// Workspace holds reusable buffers for repeated DeadlineAware calls — the
+// planner re-allocates the same servers thousands of times per replan. The
+// zero value is ready to use; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	coefC, coefB, fmin, bmin []float64
+	compute, bandwidth       []float64
+	clamped                  []bool
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The result is never nil, so an empty allocation keeps the non-nil
+// empty slices the package functions have always returned.
+func grow[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// DeadlineAware is the package function of the same name computed in the
+// workspace's buffers: the result is bit-identical, but its Compute and
+// Bandwidth slices belong to the workspace and are overwritten by the next
+// call.
+func (ws *Workspace) DeadlineAware(demands []Demand) Allocation {
 	n := len(demands)
+	ws.compute = grow(ws.compute, n)
+	ws.bandwidth = grow(ws.bandwidth, n)
 	if n == 1 {
 		// Fast path mirroring the general machinery for a single user: the
 		// user takes the whole of each resource it uses; a zero-work
@@ -300,17 +345,19 @@ func DeadlineAware(demands []Demand) Allocation {
 		if d.Tx > 0 {
 			cb = 1
 		}
-		return Allocation{Compute: []float64{cf}, Bandwidth: []float64{cb}, Feasible: feasible}
+		ws.compute[0], ws.bandwidth[0] = cf, cb
+		return Allocation{Compute: ws.compute, Bandwidth: ws.bandwidth, Feasible: feasible}
 	}
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
-	fmin := make([]float64, n)
-	bmin := make([]float64, n)
+	ws.coefC = grow(ws.coefC, n)
+	ws.coefB = grow(ws.coefB, n)
+	ws.fmin = grow(ws.fmin, n)
+	ws.bmin = grow(ws.bmin, n)
+	ws.clamped = grow(ws.clamped, n)
+	fmin, bmin := ws.fmin, ws.bmin
+	sqrtCoefs(demands, ws.coefC, ws.coefB)
 	feasible := true
 	var sumF, sumB float64
 	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
 		f, b, err := minShares(d)
 		if err != nil {
 			// The deadline is individually unmeetable (fixed latency
@@ -339,8 +386,8 @@ func DeadlineAware(demands []Demand) Allocation {
 		}
 	}
 	return Allocation{
-		Compute:   sqrtSplit(v, wt, fmin, 1),
-		Bandwidth: sqrtSplit(w, wt, bmin, 1),
+		Compute:   sqrtSplit(ws.coefC, fmin, 1, ws.compute, ws.clamped),
+		Bandwidth: sqrtSplit(ws.coefB, bmin, 1, ws.bandwidth, ws.clamped),
 		Feasible:  feasible,
 	}
 }
@@ -400,15 +447,13 @@ func MinMaxLatency(demands []Demand) (Allocation, float64) {
 	}
 	fmin, bmin, _ := feasibleAt(hi)
 	// Distribute any slack beyond the binding bounds by the sqrt rule.
-	v := make([]float64, n)
-	w := make([]float64, n)
-	wt := make([]float64, n)
-	for i, d := range demands {
-		v[i], w[i], wt[i] = d.Server, d.Tx, d.weight()
-	}
+	coefC := make([]float64, n)
+	coefB := make([]float64, n)
+	clamped := make([]bool, n)
+	sqrtCoefs(demands, coefC, coefB)
 	a := Allocation{
-		Compute:   sqrtSplit(v, wt, fmin, 1),
-		Bandwidth: sqrtSplit(w, wt, bmin, 1),
+		Compute:   sqrtSplit(coefC, fmin, 1, make([]float64, n), clamped),
+		Bandwidth: sqrtSplit(coefB, bmin, 1, make([]float64, n), clamped),
 		Feasible:  true,
 	}
 	return a, MaxLatency(demands, a)

@@ -288,7 +288,7 @@ func TestAllocationsAlwaysFeasibleProperty(t *testing.T) {
 // demand, so the single-user fast paths can be checked against the exact
 // shares the general machinery computes.
 func generalSqrtSplitSingle(work, weight, lower float64) float64 {
-	return sqrtSplit([]float64{work}, []float64{weight}, []float64{lower}, 1)[0]
+	return sqrtSplit([]float64{math.Sqrt(weight * work)}, []float64{lower}, 1, make([]float64, 1), make([]bool, 1))[0]
 }
 
 // TestSingleDemandFastPathsMatchGeneral verifies the n == 1 fast paths in

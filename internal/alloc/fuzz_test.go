@@ -3,6 +3,7 @@ package alloc
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -19,12 +20,34 @@ func fuzzClamp(v, cap float64) float64 {
 	return math.Mod(v, cap)
 }
 
+// sameAllocation reports whether two allocations agree bit for bit.
+func sameAllocation(a, b Allocation) bool {
+	if a.Feasible != b.Feasible || len(a.Compute) != len(b.Compute) || len(a.Bandwidth) != len(b.Bandwidth) {
+		return false
+	}
+	for i := range a.Compute {
+		if math.Float64bits(a.Compute[i]) != math.Float64bits(b.Compute[i]) ||
+			math.Float64bits(a.Bandwidth[i]) != math.Float64bits(b.Bandwidth[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzAllocDeadline drives DeadlineAware with arbitrary demand sets and
 // checks the allocation invariants that every caller relies on: no panic,
 // per-user shares in [0, 1], each resource's shares summing to at most 1,
 // finite latency for every user with work, and — when the allocator claims
-// feasibility — every deadline actually met.
+// feasibility — every deadline actually met. It also pins Workspace.
+// DeadlineAware bit-equal to the package function, on one workspace reused
+// across every input and across prefixes of each input (so n both grows
+// and shrinks between calls), which catches state leaking between calls
+// through its buffers.
 func FuzzAllocDeadline(f *testing.F) {
+	var (
+		mu sync.Mutex
+		ws Workspace
+	)
 	f.Add(3, 0.01, 0.02, 0.005, 1.0, 0.1, 2.0, int64(1))
 	f.Add(1, 0.0, 0.5, 0.5, 2.0, 0.05, 10.0, int64(7))
 	f.Add(8, 0.04, 0.004, 0.02, 0.5, 0.3, 4.0, int64(42))
@@ -47,6 +70,14 @@ func FuzzAllocDeadline(f *testing.F) {
 			}
 		}
 		a := DeadlineAware(demands)
+		mu.Lock()
+		for _, k := range []int{n, 1 + int(uint64(salt)%uint64(n)), n} {
+			if got, want := ws.DeadlineAware(demands[:k]), DeadlineAware(demands[:k]); !sameAllocation(got, want) {
+				mu.Unlock()
+				t.Fatalf("workspace allocation of %d demands %+v differs from the package function's %+v (demands %+v)", k, got, want, demands[:k])
+			}
+		}
+		mu.Unlock()
 		if len(a.Compute) != n || len(a.Bandwidth) != n {
 			t.Fatalf("allocation arity %d/%d for %d demands", len(a.Compute), len(a.Bandwidth), n)
 		}

@@ -267,7 +267,7 @@ func TestE26SmallShape(t *testing.T) {
 	if len(r.Tables[0].Rows) != 1 {
 		t.Errorf("rows = %d, want 1", len(r.Tables[0].Rows))
 	}
-	for _, k := range []string{"users_max", "full_replan_sec", "delta_replan_sec", "replan_speedup", "delta_gap_pct", "delta_ops_frac", "dirty_shards"} {
+	for _, k := range []string{"cores", "users_max", "full_replan_sec", "delta_replan_sec", "replan_speedup", "delta_gap_pct", "delta_ops_frac", "dirty_shards"} {
 		if _, ok := r.Metrics[k]; !ok {
 			t.Errorf("metric %q missing", k)
 		}

@@ -13,7 +13,7 @@ import (
 
 // e24Frontier measures the precomputed Pareto-frontier surgery tables
 // against direct per-user optimization on the planner-scale population
-// (e23Scenario). For each size it times three things — the one-off table
+// (E23Scenario). For each size it times three things — the one-off table
 // build, a legacy plan, and a frontier-backed plan — and cross-checks that
 // the frontier path is pure speedup: a planner answering every surgery
 // subproblem from the tables must emit exactly the plan a table-less
@@ -31,7 +31,7 @@ func e24Frontier(sizes []int, nServers, shardThreshold, paritySize int) (*Report
 	var buildSecLargest, buildUsPerProbeLargest, frontierSecLargest, legacySecLargest, speedupLargest, hitRateLargest float64
 	parityOK := 1.0
 	for _, n := range sizes {
-		sc := e23Scenario(n, nServers)
+		sc := E23Scenario(n, nServers)
 		opt := joint.Options{ShardThreshold: shardThreshold}
 
 		t0 := time.Now()

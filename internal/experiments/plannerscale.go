@@ -14,15 +14,16 @@ import (
 	"edgesurgeon/internal/workload"
 )
 
-// e23Scenario builds the planner-scale scenario: nUsers cycling over three
-// device classes and four models in front of nServers alternating GPU/CPU
-// servers with static uplinks — the same population mix as mixedScenario,
-// widened to arbitrary server counts so the shard decomposition has
-// structure to exploit. Per-user rates are modest: deep overload makes the
+// E23Scenario builds the planner-scale scenario behind E23, E24, E26 and
+// the sharded planner benchmarks: nUsers cycling over three device classes
+// and four models in front of nServers alternating GPU/CPU servers with
+// static uplinks — the same population mix as mixedScenario, widened to
+// arbitrary server counts so the shard decomposition has structure to
+// exploit. Per-user rates are modest: deep overload makes the
 // objective a shed-ordering artifact and any planner-vs-planner gap
 // meaningless, so the scale study stays in the regime the planner is
 // designed for.
-func e23Scenario(nUsers, nServers int) *joint.Scenario {
+func E23Scenario(nUsers, nServers int) *joint.Scenario {
 	devices := []*hardware.Profile{mustDevice("rpi4"), mustDevice("phone-soc"), mustDevice("jetson-nano")}
 	// One model instance per architecture, shared across users — models are
 	// read-only to the planner, and pointer identity is what the surgery
@@ -75,7 +76,7 @@ func e23Scale(bothSizes, shardedSizes []int, nServers, shardThreshold int) (*Rep
 	var worstGap, bestSpeedup, speedupLargest, shardedSecLargest, frontierSecLargest float64
 	var usersMax int
 	runArm := func(n int, withMono bool) error {
-		sc := e23Scenario(n, nServers)
+		sc := E23Scenario(n, nServers)
 
 		sp := &joint.Planner{Opt: joint.Options{ShardThreshold: shardThreshold}}
 		t0 := time.Now()

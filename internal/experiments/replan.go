@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"edgesurgeon/internal/joint"
@@ -43,7 +44,7 @@ func e26Replan(sizes []int, nServers, shardThreshold int) (*Report, error) {
 	var usersMax int
 	var fullSecLargest, deltaSecLargest, speedupLargest, gapLargest, opsFracLargest float64
 	for _, n := range sizes {
-		sc := e26Drift(e23Scenario(n, nServers), 0, 1.0) // normalize links to static form
+		sc := e26Drift(E23Scenario(n, nServers), 0, 1.0) // normalize links to static form
 		p := &joint.Planner{Opt: joint.Options{ShardThreshold: shardThreshold}}
 		prev, err := p.Plan(sc)
 		if err != nil {
@@ -86,8 +87,10 @@ func e26Replan(sizes []int, nServers, shardThreshold int) (*Report, error) {
 	r.metric("delta_gap_pct", gapLargest)
 	r.metric("delta_ops_frac", opsFracLargest)
 	r.metric("dirty_shards", 1)
-	r.note("at %d users a single-dirty-shard delta replan is %.1fx faster than a full replan (%.4f s vs %.3f s), objective gap %+.3f%%",
-		usersMax, speedupLargest, deltaSecLargest, fullSecLargest, gapLargest)
+	cores := runtime.GOMAXPROCS(0)
+	r.metric("cores", float64(cores))
+	r.note("at %d users a single-dirty-shard delta replan is %.1fx faster than a full replan (%.4f s vs %.3f s) on %d core(s), objective gap %+.3f%%",
+		usersMax, speedupLargest, deltaSecLargest, fullSecLargest, cores, gapLargest)
 	return r, nil
 }
 

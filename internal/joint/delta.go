@@ -148,9 +148,10 @@ func (p *Planner) PlanDelta(sc *Scenario, prev *Plan, dirty []bool) (*Plan, erro
 			break
 		}
 		if scope != nil {
-			// Scale regime: every mover's surgery was already refreshed at its
-			// new home inside tryMove, and incumbents' surgery plans are still
-			// optimal for shares that only shifted marginally — so a round
+			// Scale regime: every mover's surgery was already refreshed at
+			// its new home by the move evaluation, and incumbents' surgery
+			// plans are still optimal for shares that only shifted
+			// marginally — so a round
 			// re-balances shares on the touched shards and charges no surgery
 			// ops at all. Re-optimizing whole touched shards here is what
 			// would drag a dirty-single-shard replan back to O(n): the full

@@ -40,8 +40,8 @@ type frontierStats struct {
 	// users, see ROADMAP) is pure waste after the first resolution. Slots
 	// hold an atomic pointer: racing resolvers of one slot store equivalent
 	// values, so the memo never changes output at any Parallelism level. A
-	// resolved nil table is remembered too — each query on it still counts
-	// a miss, keeping the counters identical to the unmemoized path. Laid
+	// resolved nil table is remembered too — each query on it is still a
+	// miss, keeping the tallies identical to the unmemoized path. Laid
 	// out nUsers×(memoServers+1) with column 0 the device-only (server -1)
 	// environment. Nil when disabled.
 	memo        []atomic.Pointer[frontierRes]
@@ -76,13 +76,14 @@ func newFrontierStats(set *surgery.FrontierSet, reg *telemetry.Registry, nUsers,
 	return f
 }
 
-// lookup answers user ui's surgery problem from the tables, counting the
-// outcome. server is the environment's server index (-1 for device-only);
-// with the memo enabled it addresses the cached key→table resolution, so
-// repeat queries skip the key construction and hash entirely. A miss means
-// the key is outside the table set (e.g. drifted uplink rates on the
-// dispatcher's observe path, or a key past the table budget); the caller
-// must then run the optimizer at the same snapped shares.
+// lookup answers user ui's surgery problem from the tables. server is the
+// environment's server index (-1 for device-only); with the memo enabled it
+// addresses the cached key→table resolution, so repeat queries skip the key
+// construction and hash entirely. A miss means the key is outside the table
+// set (e.g. drifted uplink rates on the dispatcher's observe path, or a key
+// past the table budget); the caller must then run the optimizer at the
+// same snapped shares. lookup counts nothing: callers tally outcomes
+// themselves (see lookupTally).
 func (f *frontierStats) lookup(ui, server int, m *dnn.Model, env surgery.Env, sopt surgery.Options) (surgery.Plan, surgery.Eval, bool) {
 	if f.memo != nil && ui >= 0 && server >= -1 && server < f.memoServers {
 		slot := &f.memo[ui*(f.memoServers+1)+server+1]
@@ -92,20 +93,12 @@ func (f *frontierStats) lookup(ui, server int, m *dnn.Model, env surgery.Env, so
 			slot.Store(res)
 		}
 		if res.table == nil {
-			f.misses.Inc()
 			return surgery.Plan{}, surgery.Eval{}, false
 		}
-		f.hits.Inc()
 		plan, ev := res.table.Lookup(env.ComputeShare, env.BandwidthShare)
 		return plan, ev, true
 	}
-	plan, ev, ok := f.set.Lookup(surgery.KeyOf(m, env, sopt), env.ComputeShare, env.BandwidthShare)
-	if ok {
-		f.hits.Inc()
-	} else {
-		f.misses.Inc()
-	}
-	return plan, ev, ok
+	return f.set.Lookup(surgery.KeyOf(m, env, sopt), env.ComputeShare, env.BandwidthShare)
 }
 
 // counters returns the (hits, misses) accumulated since construction.

@@ -2,7 +2,6 @@ package joint
 
 import (
 	"math"
-	"sort"
 
 	"edgesurgeon/internal/sim"
 	"edgesurgeon/internal/surgery"
@@ -53,10 +52,11 @@ const reconcileTopK = 4
 
 // reconcileWorkBudget caps one budget-regime reconciliation round's total
 // move-evaluation work, measured in user-slots (candidates × donor shard
-// size — a tryMove re-allocates both touched shards, which is linear in
-// their sizes). A fixed work budget makes every round cost about the same
-// wall-clock at any scale: mid-size scenarios with small shards nominate
-// most of each donor shard, 100k-user shards fall back to the topK floor.
+// size — a move evaluation re-allocates both touched shards, which is
+// linear in their sizes). A fixed work budget makes every round cost about
+// the same wall-clock at any scale: mid-size scenarios with small shards
+// nominate most of each donor shard, 100k-user shards fall back to the topK
+// floor.
 const reconcileWorkBudget = 1 << 19
 
 // crossCheckUserLimit bounds the monolithic cross-check pass to
@@ -332,8 +332,8 @@ func pinLocalUsers(sc *Scenario, opt Options, assign []int) ([]*Decision, error)
 	// The pre-pass probes at full shares (1, 1) — an exact point of both
 	// share grids and exactly the per-server environments BuildFrontierSet
 	// tabulates, so frontier-enabled runs answer the whole pass from the
-	// tables. Like the local cache above, its tallies stay off the plan's
-	// counters (the pass runs before any planning state exists).
+	// tables. Like the local cache above, it is queried without counting:
+	// the pass runs before any planning state (and its counters) exists.
 	front := newFrontierStats(opt.Frontiers, nil, len(sc.Users), len(sc.Servers), !opt.DisableFrontierMemo)
 	err := forEachIndex(opt.parallelism(), len(sc.Users), func(ui int) error {
 		u := &sc.Users[ui]
@@ -360,7 +360,7 @@ func pinLocalUsers(sc *Scenario, opt Options, assign []int) ([]*Decision, error)
 		}
 		if !ok && cache != nil {
 			key = keyFor(u.Model, env, sopt)
-			plan, ev, ok = cache.get(key)
+			plan, ev, ok = cache.peek(key)
 		}
 		if !ok {
 			var err error
@@ -484,254 +484,4 @@ func (st *state) polishServers(touched []bool) error {
 		}
 	}
 	return nil
-}
-
-// reconcileStep is one capacity-reconciliation migration pass: move users
-// out of pressured shards (infeasible first, then above-average normalized
-// compute demand) into shards with slack, accepting only moves that
-// strictly improve the objective over the two touched shards. Every
-// candidate is evaluated in-place and rolled back exactly on rejection, so
-// a pass costs O(candidates × shard size) rather than the monolithic
-// greedy's O(users × servers × n). Candidate nomination, target order, and
-// acceptance are all deterministic (pressure order with index tiebreaks,
-// first improvement wins). Returns the accepted move count and the set of
-// servers any accepted move touched.
-//
-// scope, when non-nil, restricts the DONOR side to the flagged servers —
-// the delta-replan contract: only shards whose inputs changed (or that a
-// prior accepted move touched) may shed users, while every server remains a
-// legal TARGET, so load can drain out of a drifted shard into any slack in
-// the fleet. nil means every server donates (the full-replan behavior).
-func (st *state) reconcileStep(scope []bool) (int, []bool) {
-	nServers := len(st.sc.Servers)
-	touched := make([]bool, nServers)
-	if nServers < 2 {
-		return 0, touched
-	}
-	if len(st.sc.Users)*nServers <= reconcileCandidateBudget {
-		// Small scenarios get the monolithic reassignment greedy verbatim —
-		// users in index order, targets in server order, first global
-		// improvement wins — so the differential gap versus the monolithic
-		// planner stays within the pinned bound.
-		return st.reconcileExhaustive(scope, touched)
-	}
-
-	// Normalized compute demand per server: how much of the server each
-	// shard's plans want at full capacity.
-	demand := make([]float64, nServers)
-	for s := range st.assigned {
-		for _, ui := range st.assigned[s] {
-			demand[s] += st.ds[ui].Eval.ServerSec * math.Max(st.hot.rate[ui], 0)
-		}
-	}
-
-	// Donor order: infeasible shards first, then by descending demand;
-	// index breaks ties. Every shard donates — even a below-average shard
-	// can hold users whose latency improves elsewhere (a slow server with
-	// slack is still the wrong home for a heavy user) — but the pressured
-	// shards go first so they drain while targets still have room.
-	donors := make([]int, 0, nServers)
-	for s := 0; s < nServers; s++ {
-		if scope != nil && !scope[s] {
-			continue
-		}
-		donors = append(donors, s)
-	}
-	sort.SliceStable(donors, func(a, b int) bool {
-		da, db := donors[a], donors[b]
-		if st.srvFeasible[da] != st.srvFeasible[db] {
-			return !st.srvFeasible[da]
-		}
-		return demand[da] > demand[db]
-	})
-
-	// Accept on the two-shard objective alone: in the budget-bounded regime
-	// the full objective is too expensive to consult per candidate, and the
-	// untouched shards contribute a constant to it anyway.
-	localAccept := func(before, after float64) bool {
-		return after < before*(1-1e-9)
-	}
-	moved := 0
-	for _, s := range donors {
-		for _, ui := range st.nominate(s, st.nominationWidth(len(donors), s)) {
-			if st.ds[ui].Server != s {
-				continue // an earlier accepted move already relocated it
-			}
-			for _, to := range st.targets(s, demand) {
-				ok := st.tryMove(ui, s, to, localAccept)
-				if ok {
-					// Keep the demand ledger current so later target picks
-					// see the shifted load.
-					d := st.ds[ui].Eval.ServerSec * math.Max(st.hot.rate[ui], 0)
-					demand[s] -= d
-					demand[to] += d
-					touched[s], touched[to] = true, true
-					moved++
-					break
-				}
-			}
-		}
-	}
-	return moved, touched
-}
-
-// reconcileExhaustive is the small-scenario reconciliation pass: the
-// monolithic reassignment greedy's exact scan — users in index order,
-// targets in server-index order, first move that strictly improves the
-// GLOBAL objective (same relative threshold) wins — evaluated in place with
-// exact rollback instead of on scratch clones. Matching the monolithic
-// scan keeps the differential gap on test-sized scenarios within the
-// pinned bound. scope (nil = all) restricts donors exactly as in
-// reconcileStep: a user may only move if its current server is in scope.
-func (st *state) reconcileExhaustive(scope, touched []bool) (int, []bool) {
-	moved := 0
-	for ui := range st.sc.Users {
-		from := st.ds[ui].Server
-		if from < 0 || (scope != nil && !scope[from]) {
-			continue
-		}
-		base := st.objectiveNow()
-		for to := range st.sc.Servers {
-			if to == from {
-				continue
-			}
-			globalAccept := func(before, after float64) bool {
-				// base - before + after is the global objective the move
-				// leaves behind: only the two touched shards' terms change.
-				return base-before+after < base*(1-1e-9)
-			}
-			if st.tryMove(ui, from, to, globalAccept) {
-				touched[from], touched[to] = true, true
-				moved++
-				break
-			}
-		}
-	}
-	return moved, touched
-}
-
-// nominationWidth sizes a donor shard's candidate list so one round's
-// total move-evaluation work (candidates × shard size, times the target
-// fan-out) stays under reconcileWorkBudget regardless of scale, never
-// dropping below the reconcileTopK floor.
-func (st *state) nominationWidth(nDonors, s int) int {
-	size := len(st.assigned[s])
-	if nDonors < 1 {
-		nDonors = 1
-	}
-	if size < 1 {
-		size = 1
-	}
-	k := reconcileWorkBudget / (nDonors * reconcileMaxTargets * size)
-	if k < reconcileTopK {
-		k = reconcileTopK
-	}
-	return k
-}
-
-// nominate picks the donor shard's candidate movers: the topK users by
-// weighted-latency contribution (the ones a move could help most — a
-// bounded nomination even for infeasible shards, since draining an
-// overload is shedStep's job, not reconciliation's). The returned order is
-// deterministic.
-func (st *state) nominate(s, topK int) []int {
-	users := st.assigned[s]
-	if len(users) <= topK {
-		return append([]int(nil), users...)
-	}
-	cand := append([]int(nil), users...)
-	contrib := func(ui int) float64 {
-		return st.hot.weight[ui] * st.ds[ui].Latency()
-	}
-	sort.SliceStable(cand, func(a, b int) bool { return contrib(cand[a]) > contrib(cand[b]) })
-	return cand[:topK]
-}
-
-// targets orders the candidate destination servers for a move out of s:
-// ascending demand (the shards with the most slack first), index tiebreak,
-// bounded to reconcileMaxTargets.
-func (st *state) targets(s int, demand []float64) []int {
-	out := make([]int, 0, len(demand)-1)
-	for t := range demand {
-		if t != s {
-			out = append(out, t)
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return demand[out[a]] < demand[out[b]] })
-	if len(out) > reconcileMaxTargets {
-		out = out[:reconcileMaxTargets]
-	}
-	return out
-}
-
-// tryMove evaluates migrating user ui from server s to server to, in place:
-// move, re-run the mover's surgery, re-allocate both servers, re-run the
-// mover once more at its allocated share (the same refresh pattern the
-// monolithic candidate evaluation uses). accept decides on the objective
-// restricted to the two touched shards, before versus after the move; on
-// rejection every touched decision, list, and feasibility flag is restored
-// exactly. A surgery failure on the probe rejects the candidate (the
-// mover's current plan remains valid).
-func (st *state) tryMove(ui, s, to int, accept func(before, after float64) bool) bool {
-	st.spent += 2 // the mover's two surgery refreshes, charged up front
-	// Save/restore runs on the state's moveScratch arena: tryMove is only
-	// ever called from the sequential reconciliation scans, so one arena per
-	// state suffices, and a rejected candidate is allocation-free once the
-	// arena has grown to shard size.
-	mv := &st.mv
-	mv.from = append(mv.from[:0], st.assigned[s]...)
-	mv.to = append(mv.to[:0], st.assigned[to]...)
-	savedFeasFrom, savedFeasTo := st.srvFeasible[s], st.srvFeasible[to]
-	mv.touched = mv.touched[:0]
-	mv.touched = append(mv.touched, mv.from...)
-	mv.touched = append(mv.touched, mv.to...)
-	if cap(mv.ds) < len(mv.touched) {
-		mv.ds = make([]Decision, len(mv.touched))
-	}
-	mv.ds = mv.ds[:len(mv.touched)]
-	for i, u := range mv.touched {
-		mv.ds[i] = st.ds[u]
-	}
-	before := st.twoShardObjective(s, to)
-
-	restore := func() {
-		st.assigned[s] = append(st.assigned[s][:0], mv.from...)
-		st.assigned[to] = append(st.assigned[to][:0], mv.to...)
-		st.srvFeasible[s], st.srvFeasible[to] = savedFeasFrom, savedFeasTo
-		for i, u := range mv.touched {
-			st.ds[u] = mv.ds[i]
-		}
-	}
-
-	st.moveUser(ui, s, to)
-	if err := st.refreshUser(ui); err != nil {
-		restore()
-		return false
-	}
-	st.allocServer(s)
-	st.allocServer(to)
-	if err := st.refreshUser(ui); err != nil {
-		restore()
-		return false
-	}
-	after := st.twoShardObjective(s, to)
-	if accept(before, after) {
-		return true
-	}
-	restore()
-	return false
-}
-
-// twoShardObjective sums the weighted latency of every user currently on
-// the two given servers — the only objective terms a migration between them
-// can change.
-func (st *state) twoShardObjective(a, b int) float64 {
-	var sum float64
-	for _, ui := range st.assigned[a] {
-		sum += st.hot.weight[ui] * st.ds[ui].Latency()
-	}
-	for _, ui := range st.assigned[b] {
-		sum += st.hot.weight[ui] * st.ds[ui].Latency()
-	}
-	return sum
 }

@@ -36,10 +36,15 @@ type Options struct {
 	// Allocator selects the allocation rule when allocation is enabled.
 	Allocator AllocatorKind
 	// Parallelism bounds the worker pool the planner fans per-user surgery
-	// optimizations and candidate-move probes across; <= 0 means
-	// GOMAXPROCS. Plans are byte-identical across parallelism levels: the
-	// fan-out snapshots its inputs first and reduces results in index
-	// order, and each per-user problem is a pure function of the snapshot.
+	// optimizations, candidate-move probes and the sharded planner's
+	// reconciliation candidates across; <= 0 means GOMAXPROCS. Plans are
+	// byte-identical across parallelism levels: the fan-out snapshots its
+	// inputs first and reduces results in index order, each per-user problem
+	// is a pure function of the snapshot, and reconciliation evaluates a
+	// window of candidate moves read-only against the unchanged state, then
+	// consumes them in scan order up to the first accepted one. The work
+	// ledger (SurgeryOps) and the frontier and surgery-cache lookup totals
+	// count consumed candidates only, so they match at every level too.
 	Parallelism int
 	// DisableSurgeryCache turns off the per-Plan-call surgery memoization
 	// (the cache-ablation arm; also exercised by the equivalence tests).
@@ -360,7 +365,12 @@ type state struct {
 	front   *frontierStats // frontier tables + hit/miss telemetry (nil = legacy path)
 	envBuf  []surgery.Env  // reusable per-user env snapshot for surgeryStep
 	hot     *userSoA       // flat per-user planning scalars (see soa.go)
-	mv      moveScratch    // tryMove's reusable save/restore arena
+
+	// alloc is allocServer's reusable allocation buffer and scan the
+	// reconciliation scans' arena (see reconcile.go); both are used by
+	// sequential orchestration code only.
+	alloc shareBuf
+	scan  *moveScan
 
 	// spent is the deterministic work ledger behind SurgeryBudget: every
 	// orchestration step charges the surgery optimizations it schedules
@@ -468,8 +478,20 @@ func (st *state) equalShares() {
 // The planner keeps a best-objective snapshot, so optimistic probing can
 // never worsen the returned plan.
 func (st *state) env(ui int) surgery.Env {
-	u := &st.sc.Users[ui]
 	d := &st.ds[ui]
+	offl := 0
+	if d.Server >= 0 {
+		offl = st.offloaders(d.Server, ui)
+	}
+	return st.envAt(ui, d.Server, d.ComputeShare, d.BandwidthShare, offl)
+}
+
+// envAt is env with the decision's inputs given explicitly: user ui on
+// server (-1 = device-only) at the given shares, with offl other
+// offloaders on that server. It reads no decision, which is what lets a candidate move
+// be evaluated without installing it first.
+func (st *state) envAt(ui, server int, computeShare, bandwidthShare float64, offl int) surgery.Env {
+	u := &st.sc.Users[ui]
 	env := surgery.Env{
 		Device:     u.Device,
 		Difficulty: u.Difficulty,
@@ -477,15 +499,15 @@ func (st *state) env(ui int) surgery.Env {
 		Rate:       st.hot.rate[ui],
 		TxFactor:   u.TxCompression,
 	}
-	if d.Server >= 0 {
-		srv := &st.sc.Servers[d.Server]
+	if server >= 0 {
+		srv := &st.sc.Servers[server]
 		env.Server = srv.Profile
 		// Probe share: what this user would plausibly receive if it chose
 		// to offload — an equal split among the server's *current*
 		// offloaders plus itself. In the first round nobody offloads yet,
 		// so the probe is optimistic (share 1) and users discover offload
 		// opportunities; as offloaders accumulate the probe tightens.
-		probe := 1 / float64(1+st.offloaders(d.Server, ui))
+		probe := 1 / float64(1+offl)
 		if st.opt.DisableProbe {
 			probe = 0
 		}
@@ -495,8 +517,8 @@ func (st *state) env(ui int) surgery.Env {
 		// recomputing would. The frontier path snaps to its tables'
 		// geometric grid; the legacy path keeps the uniform ShareQuantum
 		// grid bit for bit.
-		fs := math.Max(orOne(d.ComputeShare), probe)
-		bs := math.Max(orOne(d.BandwidthShare), probe)
+		fs := math.Max(orOne(computeShare), probe)
+		bs := math.Max(orOne(bandwidthShare), probe)
 		if st.front != nil {
 			env.ComputeShare = st.front.grid.Snap(fs)
 			env.BandwidthShare = st.front.grid.Snap(bs)
@@ -504,7 +526,7 @@ func (st *state) env(ui int) surgery.Env {
 			env.ComputeShare = quantizeShare(fs)
 			env.BandwidthShare = quantizeShare(bs)
 		}
-		env.UplinkBps = st.uplink[d.Server]
+		env.UplinkBps = st.uplink[server]
 		env.RTT = srv.RTT
 	}
 	return env
@@ -515,15 +537,16 @@ func (st *state) env(ui int) surgery.Env {
 func (st *state) offloaders(s, except int) int {
 	n := 0
 	for _, ui := range st.assigned[s] {
-		if ui == except {
-			continue
-		}
-		p := &st.ds[ui].Plan
-		if p.Model != nil && p.Partition < p.Model.NumUnits() {
+		if ui != except && crosses(&st.ds[ui].Plan) {
 			n++
 		}
 	}
 	return n
+}
+
+// crosses reports whether a plan offloads across the partition boundary.
+func crosses(p *surgery.Plan) bool {
+	return p.Model != nil && p.Partition < p.Model.NumUnits()
 }
 
 // surgeryStep re-optimizes every user's plan at the current shares.
@@ -551,99 +574,81 @@ func (st *state) surgeryStep() error {
 
 // optimizeUser runs (or recalls) the surgery optimization for one user in
 // the given quantized environment and installs the result in st.ds[ui].
-// Safe for concurrent calls with distinct ui. On the frontier path the
-// precomputed tables answer first; untabulated keys fall through to the
-// cache + optimizer at the same snapped shares, so which path answered is
-// observable only in the counters.
+// Safe for concurrent calls with distinct ui.
 func (st *state) optimizeUser(ui int, env surgery.Env) error {
-	u := &st.sc.Users[ui]
-	sopt := st.opt.surgeryOptions(u)
-	if st.front != nil {
-		if plan, ev, ok := st.front.lookup(ui, st.ds[ui].Server, u.Model, env, sopt); ok {
-			st.ds[ui].Plan = plan
-			st.ds[ui].Eval = ev
-			return nil
-		}
-	}
-	var key surgeryKey
-	if st.cache != nil {
-		key = keyFor(u.Model, env, sopt)
-		if plan, ev, ok := st.cache.get(key); ok {
-			st.ds[ui].Plan = plan
-			st.ds[ui].Eval = ev
-			return nil
-		}
-	}
-	plan, ev, err := surgery.Optimize(u.Model, env, sopt)
+	var t lookupTally
+	plan, ev, err := st.solve(ui, st.ds[ui].Server, env, &t)
+	st.fold(&t)
 	if err != nil {
-		return fmt.Errorf("joint: surgery for user %d (%s): %w", ui, u.Name, err)
-	}
-	if st.cache != nil {
-		st.cache.put(key, plan, ev)
+		return err
 	}
 	st.ds[ui].Plan = plan
 	st.ds[ui].Eval = ev
 	return nil
 }
 
-// demandsFor builds the per-server allocation inputs from current evals.
-func (st *state) demandsFor(s int) []alloc.Demand {
-	out := make([]alloc.Demand, len(st.assigned[s]))
-	for i, ui := range st.assigned[s] {
-		ev := st.ds[ui].Eval
-		out[i] = alloc.Demand{
-			Fixed:    ev.FixedSec,
-			Server:   ev.ServerSec,
-			Tx:       ev.TxSec,
-			Weight:   st.hot.weight[ui],
-			Deadline: st.hot.deadline[ui],
-			Rate:     st.hot.rate[ui],
+// solve answers user ui's surgery problem in env (on server, -1 for
+// device-only) without touching the decision set, recording its frontier
+// and cache outcomes in t. On the frontier path the precomputed tables
+// answer first; untabulated keys fall through to the cache + optimizer at
+// the same snapped shares, so which path answered is observable only in the
+// counters. Safe for concurrent use.
+func (st *state) solve(ui, server int, env surgery.Env, t *lookupTally) (surgery.Plan, surgery.Eval, error) {
+	u := &st.sc.Users[ui]
+	sopt := st.opt.surgeryOptions(u)
+	if st.front != nil {
+		if plan, ev, ok := st.front.lookup(ui, server, u.Model, env, sopt); ok {
+			t.frontHits++
+			return plan, ev, nil
 		}
+		t.frontMisses++
 	}
-	return out
+	var key surgeryKey
+	if st.cache != nil {
+		key = keyFor(u.Model, env, sopt)
+		if plan, ev, ok := st.cache.peek(key); ok {
+			t.cacheHits++
+			return plan, ev, nil
+		}
+		t.cacheMisses++
+	}
+	plan, ev, err := surgery.Optimize(u.Model, env, sopt)
+	if err != nil {
+		return surgery.Plan{}, surgery.Eval{}, fmt.Errorf("joint: surgery for user %d (%s): %w", ui, u.Name, err)
+	}
+	if st.cache != nil {
+		st.cache.put(key, plan, ev)
+	}
+	return plan, ev, nil
+}
+
+// demandOf is user ui's allocation input under evaluation ev.
+func (st *state) demandOf(ui int, ev *surgery.Eval) alloc.Demand {
+	return alloc.Demand{
+		Fixed:    ev.FixedSec,
+		Server:   ev.ServerSec,
+		Tx:       ev.TxSec,
+		Weight:   st.hot.weight[ui],
+		Deadline: st.hot.deadline[ui],
+		Rate:     st.hot.rate[ui],
+	}
+}
+
+// appendDemands appends server s's allocation inputs, in assignment order,
+// to dst.
+func (st *state) appendDemands(dst []alloc.Demand, s int) []alloc.Demand {
+	for _, ui := range st.assigned[s] {
+		dst = append(dst, st.demandOf(ui, &st.ds[ui].Eval))
+	}
+	return dst
 }
 
 // allocStep re-splits every server's resources given the current plans.
 func (st *state) allocStep() {
 	st.feasible = true
-	if st.opt.DisableAllocation {
-		st.equalShares()
-		// Equal shares may still violate deadlines; report feasibility
-		// against them for parity with the allocating arms.
-		for s := range st.assigned {
-			st.srvFeasible[s] = true
-			for _, ui := range st.assigned[s] {
-				if d := st.hot.deadline[ui]; d > 0 && st.ds[ui].Latency() > d {
-					st.feasible = false
-					st.srvFeasible[s] = false
-				}
-			}
-		}
-		return
-	}
 	for s := range st.assigned {
-		st.srvFeasible[s] = true
-		if len(st.assigned[s]) == 0 {
-			continue
-		}
-		demands := st.demandsFor(s)
-		var a alloc.Allocation
-		switch st.opt.Allocator {
-		case MinSumAlloc:
-			a = alloc.MinSumLatency(demands)
-		case MinMaxAlloc:
-			a, _ = alloc.MinMaxLatency(demands)
-		default:
-			a = alloc.DeadlineAware(demands)
-		}
-		if !a.Feasible {
-			st.feasible = false
-			st.srvFeasible[s] = false
-		}
-		for i, ui := range st.assigned[s] {
-			st.ds[ui].ComputeShare = math.Max(a.Compute[i], 1e-9)
-			st.ds[ui].BandwidthShare = math.Max(a.Bandwidth[i], 1e-9)
-		}
+		st.allocServer(s)
+		st.feasible = st.feasible && st.srvFeasible[s]
 	}
 }
 
@@ -772,42 +777,75 @@ func (st *state) refreshUser(ui int) error {
 	return st.optimizeUser(ui, st.env(ui))
 }
 
-// allocServer re-allocates one server in isolation.
+// allocServer re-allocates one server in isolation (see share).
 func (st *state) allocServer(s int) {
-	st.srvFeasible[s] = true
-	if len(st.assigned[s]) == 0 {
+	buf := &st.alloc
+	buf.row = st.appendDemands(buf.row[:0], s)
+	st.share(buf)
+	st.srvFeasible[s] = buf.feasible
+	for i, ui := range st.assigned[s] {
+		st.ds[ui].ComputeShare, st.ds[ui].BandwidthShare = buf.c[i], buf.b[i]
+	}
+}
+
+// shareBuf holds one server re-allocation: its demand row in assignment
+// order, the resulting shares and feasibility, and reusable allocator
+// buffers.
+type shareBuf struct {
+	row      []alloc.Demand
+	c, b     []float64
+	feasible bool
+	ws       alloc.Workspace
+}
+
+// share allocates buf.row with the configured allocator into buf.c, buf.b
+// and buf.feasible — the shares allocServer installs, computed without
+// installing them. With allocation disabled every user gets the equal
+// split and feasibility is checked against it.
+func (st *state) share(buf *shareBuf) {
+	n := len(buf.row)
+	buf.c, buf.b = growFloats(buf.c, n), growFloats(buf.b, n)
+	buf.feasible = true
+	if n == 0 {
 		return
 	}
 	if st.opt.DisableAllocation {
-		n := float64(len(st.assigned[s]))
-		for _, ui := range st.assigned[s] {
-			st.ds[ui].ComputeShare = 1 / n
-			st.ds[ui].BandwidthShare = 1 / n
-		}
-		for _, ui := range st.assigned[s] {
-			if d := st.hot.deadline[ui]; d > 0 && st.ds[ui].Latency() > d {
-				st.srvFeasible[s] = false
+		eq := 1 / float64(n)
+		for i := range buf.row {
+			buf.c[i], buf.b[i] = eq, eq
+			if d := buf.row[i].Deadline; d > 0 && rowLatency(&buf.row[i], eq, eq) > d {
+				buf.feasible = false
 			}
 		}
 		return
 	}
-	demands := st.demandsFor(s)
 	var a alloc.Allocation
 	switch st.opt.Allocator {
 	case MinSumAlloc:
-		a = alloc.MinSumLatency(demands)
+		a = alloc.MinSumLatency(buf.row)
 	case MinMaxAlloc:
-		a, _ = alloc.MinMaxLatency(demands)
+		a, _ = alloc.MinMaxLatency(buf.row)
 	default:
-		a = alloc.DeadlineAware(demands)
+		a = buf.ws.DeadlineAware(buf.row)
 	}
-	if !a.Feasible {
-		st.srvFeasible[s] = false
+	for i := range buf.row {
+		buf.c[i] = math.Max(a.Compute[i], 1e-9)
+		buf.b[i] = math.Max(a.Bandwidth[i], 1e-9)
 	}
-	for i, ui := range st.assigned[s] {
-		st.ds[ui].ComputeShare = math.Max(a.Compute[i], 1e-9)
-		st.ds[ui].BandwidthShare = math.Max(a.Bandwidth[i], 1e-9)
+	buf.feasible = a.Feasible
+}
+
+// rowLatency is Decision.Latency for a demand row entry: a Demand carries
+// exactly the Eval fields LatencyAt reads.
+func rowLatency(d *alloc.Demand, c, b float64) float64 {
+	return surgery.Eval{FixedSec: d.Fixed, ServerSec: d.Server, TxSec: d.Tx}.LatencyAt(orOne(c), orOne(b))
+}
+
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
+	return buf[:n]
 }
 
 // shedStep is the dispatcher's admission control: while a server's last

@@ -106,19 +106,3 @@ func (st *state) shardObjective(s int) float64 {
 	}
 	return sum
 }
-
-// moveScratch is the reusable buffer set behind tryMove's save/restore: a
-// candidate migration snapshots both touched assignment lists and every
-// touched decision, and at reconciliation scale that used to mean four
-// fresh allocations per evaluated candidate — O(n) garbage per round.
-// Reusing one arena per state makes an evaluated-and-rejected candidate
-// allocation-free at steady state, which is what lets a delta replan's
-// reconciliation allocate O(dirty) instead of O(candidates × shard).
-// tryMove runs only on sequential orchestration code (the reconciliation
-// scans), never concurrently on one state, so a single arena suffices;
-// scratch clones start with their own empty arena.
-type moveScratch struct {
-	from, to []int
-	touched  []int
-	ds       []Decision
-}

@@ -120,15 +120,22 @@ func newSurgeryCache(reg *telemetry.Registry) *surgeryCache {
 }
 
 func (c *surgeryCache) get(k surgeryKey) (surgery.Plan, surgery.Eval, bool) {
+	plan, ev, ok := c.peek(k)
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+	return plan, ev, ok
+}
+
+// peek is get without counting, for callers that tally lookups themselves
+// (see lookupTally) or keep no tally.
+func (c *surgeryCache) peek(k surgeryKey) (surgery.Plan, surgery.Eval, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]
 	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-		return e.plan, e.eval, true
-	}
-	c.misses.Inc()
-	return surgery.Plan{}, surgery.Eval{}, false
+	return e.plan, e.eval, ok
 }
 
 func (c *surgeryCache) put(k surgeryKey, plan surgery.Plan, eval surgery.Eval) {
@@ -144,6 +151,27 @@ func (c *surgeryCache) put(k surgeryKey, plan surgery.Plan, eval surgery.Eval) {
 // surgery optimizations requested.
 func (c *surgeryCache) counters() (hits, misses int64) {
 	return c.hits.Value() - c.h0, c.misses.Value() - c.m0
+}
+
+// lookupTally counts one surgery-answer sequence's frontier and cache
+// outcomes privately. A speculative move evaluation records into its own
+// tally, and only the evaluations a scan actually consumes are folded into
+// the shared counters — so the counters never depend on how much
+// speculation ran, i.e. on Parallelism.
+type lookupTally struct {
+	frontHits, frontMisses, cacheHits, cacheMisses int64
+}
+
+// fold adds a tally to the state's frontier and surgery-cache counters.
+func (st *state) fold(t *lookupTally) {
+	if st.front != nil {
+		st.front.hits.Add(t.frontHits)
+		st.front.misses.Add(t.frontMisses)
+	}
+	if st.cache != nil {
+		st.cache.hits.Add(t.cacheHits)
+		st.cache.misses.Add(t.cacheMisses)
+	}
 }
 
 // stampCounters writes the per-call memoization tallies into plan: the
